@@ -41,6 +41,13 @@ CacheHierarchy::access(Addr addr, bool is_write, std::uint64_t waiter,
         return {CacheOutcome::Miss, 0};
     }
 
+    // A miss needs a fill: an MSHR and queue slots for the read plus,
+    // worst case, one L2 writeback. Without them a block absent from
+    // both levels is a Retry, decided before any counted lookup.
+    const bool can_fill = mshr_.size() < cfg_.mshrs && port_.canSend(2);
+    if (!can_fill && !l1d_.contains(block) && !l2_.contains(block))
+        return {CacheOutcome::Retry, 0};
+
     if (l1d_.access(block, is_write))
         return {CacheOutcome::L1Hit, cfg_.l1LatencyCpu};
 
@@ -50,15 +57,12 @@ CacheHierarchy::access(Addr addr, bool is_write, std::uint64_t waiter,
         return {CacheOutcome::L2Hit, cfg_.l2LatencyCpu};
     }
 
-    // L2 miss: a main-memory read (fill) is required. The fill and any
-    // dirty evictions it causes need queue slots; worst case one read
-    // plus one L2 writeback.
-    if (mshr_.size() >= cfg_.mshrs || !port_.canSend(2))
-        return {CacheOutcome::Retry, 0};
-
+    // L2 miss: a main-memory read (fill). Every counted L2 miss
+    // allocates exactly one MSHR, so l2().misses() == memReads().
     auto &waiters = mshr_[block];
     if (waiter != kNoWaiter)
         waiters.push_back(waiter);
+    wakeEpoch_ += 1; // later accesses to this block can now merge
 
     port_.sendRead(block, critical);
     memReads_ += 1;
@@ -91,6 +95,7 @@ CacheHierarchy::onMemResponse(Addr block_addr)
         return {};
     std::vector<std::uint64_t> waiters = std::move(it->second);
     mshr_.erase(it);
+    wakeEpoch_ += 1; // a freed MSHR may let a parked miss proceed
     return waiters;
 }
 

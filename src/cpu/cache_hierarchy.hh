@@ -78,7 +78,9 @@ class CacheHierarchy
      * Perform a load (@p is_write false) or store (@p is_write true) to
      * the block of @p addr. When the access must wait for a memory fill
      * and @p waiter is not kNoWaiter, the waiter id is recorded and
-     * handed back by onMemResponse().
+     * handed back by onMemResponse(). A Retry has no side effect: it
+     * counts no L1 or L2 miss, so each demand lookup is counted once,
+     * by its final outcome.
      */
     HierarchyResult access(Addr addr, bool is_write,
                            std::uint64_t waiter = kNoWaiter,
@@ -89,6 +91,22 @@ class CacheHierarchy
      * returns the ids waiting on it.
      */
     std::vector<std::uint64_t> onMemResponse(Addr block_addr);
+
+    /**
+     * The port made room: a queued request left it. Called by the
+     * port's owner; wakes accesses parked on a full port.
+     */
+    void onPortRoom() { wakeEpoch_ += 1; }
+
+    /**
+     * Back-pressure wake epoch. It moves only on the three events that
+     * can turn a Retry into a success: an MSHR is released
+     * (onMemResponse), an MSHR is allocated (a merge becomes possible)
+     * and the port makes room (onPortRoom). An access that got Retry
+     * at epoch E gets Retry again while the epoch is still E, so its
+     * caller may park it instead of re-probing.
+     */
+    std::uint64_t wakeEpoch() const { return wakeEpoch_; }
 
     /**
      * Steady-state warmup: install @p block in L2 (and in L1 when
@@ -134,6 +152,7 @@ class CacheHierarchy
     std::uint64_t memReads_ = 0;
     std::uint64_t memWrites_ = 0;
     std::uint64_t mshrMerges_ = 0;
+    std::uint64_t wakeEpoch_ = 0;
 };
 
 } // namespace bsim::cpu

@@ -38,6 +38,23 @@ Core::producerReady(const RobEntry &e, std::uint64_t now) const
     return p->readyAt <= now;
 }
 
+void
+Core::park(RobEntry &e)
+{
+    if (e.parkedEpoch == kUnparked)
+        parked_ += 1;
+    e.parkedEpoch = mem_.wakeEpoch();
+}
+
+void
+Core::unpark(RobEntry &e)
+{
+    if (e.parkedEpoch != kUnparked) {
+        parked_ -= 1;
+        e.parkedEpoch = kUnparked;
+    }
+}
+
 bool
 Core::startLoad(RobEntry &e, std::uint64_t now)
 {
@@ -50,15 +67,16 @@ Core::startLoad(RobEntry &e, std::uint64_t now)
       case CacheOutcome::L1Hit:
       case CacheOutcome::L2Hit:
         e.readyAt = now + r.latencyCpu;
-        e.started = true;
-        return true;
+        break;
       case CacheOutcome::Miss:
-        e.started = true; // readyAt set by onMemResponse
-        return true;
+        break; // readyAt set by onMemResponse
       case CacheOutcome::Retry:
+        park(e);
         return false;
     }
-    return false;
+    e.started = true;
+    unpark(e);
+    return true;
 }
 
 void
@@ -75,12 +93,16 @@ Core::retire(std::uint64_t now)
         if (head.op == trace::TraceInstr::Op::Store) {
             // Stores perform at retirement (store-buffer semantics). A
             // congested memory path stalls retirement here: this is how
-            // write-queue saturation reaches the pipeline.
-            const HierarchyResult r = mem_.access(head.addr, true);
-            if (r.outcome == CacheOutcome::Retry) {
+            // write-queue saturation reaches the pipeline. A parked
+            // store waits for a wake event instead of re-probing.
+            if (parked(head) ||
+                mem_.access(head.addr, true).outcome ==
+                    CacheOutcome::Retry) {
+                park(head);
                 storeStalls_ += 1;
                 return;
             }
+            unpark(head);
             stores_ += 1;
         }
         if (head.op == trace::TraceInstr::Op::Load ||
@@ -102,7 +124,7 @@ Core::startPendingLoads(std::uint64_t now)
         RobEntry *e = entryOf(seq);
         if (!e || e->started)
             continue;
-        if (!producerReady(*e, now) || !startLoad(*e, now))
+        if (parked(*e) || !producerReady(*e, now) || !startLoad(*e, now))
             pendingLoads_.push_back(seq); // retry next cycle
     }
 }
@@ -172,19 +194,20 @@ Core::cpuCycle(std::uint64_t now)
 bool
 Core::quiescentAt(std::uint64_t now) const
 {
-    // retire(): must stop at an unready head without touching the
-    // hierarchy (a ready store head retries mem_.access every cycle).
-    if (rob_.empty() || rob_.front().readyAt <= now)
+    // retire(): must stop without touching the hierarchy, at an unready
+    // head or at a parked store (an unparked ready store would probe).
+    if (rob_.empty() ||
+        (rob_.front().readyAt <= now && !parked(rob_.front())))
         return false;
-    // startPendingLoads(): no live pending load may have a ready
-    // producer — startLoad() would do a cache lookup, which mutates
-    // hit/miss counters and LRU order even when it returns Retry.
-    // Stale entries (retired producer window or already started) are
-    // no-ops; they are dropped lazily at the next real cycle, which
+    // startPendingLoads(): no live, unparked pending load may have a
+    // ready producer — startLoad() would do a cache lookup, which
+    // counts a hit or miss and moves LRU order. Stale entries (retired
+    // producer window or already started) and parked loads are no-ops;
+    // stale ones are dropped lazily at the next real cycle, which
     // preserves the live entries' relative order.
     for (std::uint64_t seq : pendingLoads_) {
         const RobEntry *e = entryOf(seq);
-        if (!e || e->started)
+        if (!e || e->started || parked(*e))
             continue;
         if (producerReady(*e, now))
             return false;
@@ -207,11 +230,14 @@ Core::nextLocalEventCpu(std::uint64_t now) const
     // load's producer does; both are readyAt timestamps already fixed.
     // Issue-side blocks (full ROB / LSQ) clear only through retirement,
     // which the head's readyAt already bounds. kTickMax entries wait on
-    // a memory response, which the System tracks separately.
-    std::uint64_t e = rob_.front().readyAt;
+    // a memory response, and parked accesses (a parked store head
+    // included) on a hierarchy wake event; the System tracks both.
+    const RobEntry &head = rob_.front();
+    std::uint64_t e = parked(head) ? kTickMax : head.readyAt;
     for (std::uint64_t seq : pendingLoads_) {
         const RobEntry *pe = entryOf(seq);
-        if (!pe || pe->started || pe->producerSeq == kTickMax)
+        if (!pe || pe->started || parked(*pe) ||
+            pe->producerSeq == kTickMax)
             continue;
         const RobEntry *p = entryOf(pe->producerSeq);
         if (p && p->readyAt < e)

@@ -71,28 +71,44 @@ class Core
     std::size_t robOccupancy() const { return rob_.size(); }
 
     /**
-     * True when cpuCycle(@p now) would be a pure head-stall: retirement
-     * blocked on an unready head, no pending load able to start, and
-     * issue blocked without pulling from the trace. Such a cycle's only
-     * effect is one headStalls_ increment, so the cycle-skipping engine
-     * may batch it. Cache lookups mutate hit/miss counters and LRU even
-     * on a Retry, so any cycle that might call into the hierarchy is
-     * not quiescent.
+     * True when cpuCycle(@p now) would be a pure stall: retirement
+     * blocked on an unready head or on a parked store, no pending load
+     * able to start, and issue blocked without pulling from the trace.
+     * Such a cycle's only effect is one headStalls_ (or storeStalls_)
+     * increment, so the cycle-skipping engine may batch it. A parked
+     * access (one that got Retry, see CacheHierarchy::wakeEpoch) is not
+     * re-probed until a wake event, so it does not break quiescence; a
+     * load with a ready producer that would probe the hierarchy does.
      */
     bool quiescentAt(std::uint64_t now) const;
 
     /**
      * Next CPU cycle at which this core leaves quiescence on its own:
      * the head's readyAt or the first producer wakeup of a blocked
-     * pending load. kTickMax when only a memory response can wake it.
-     * Only meaningful while quiescentAt(now) holds.
+     * pending load. kTickMax when only an external event can wake it:
+     * a memory response, or a wake event for a parked access (a parked
+     * store at the ROB head waits on nothing local). Only meaningful
+     * while quiescentAt(now) holds.
      */
     std::uint64_t nextLocalEventCpu(std::uint64_t now) const;
 
-    /** Bulk-apply @p n skipped quiescent cycles (all head stalls). */
-    void skipStallCycles(std::uint64_t n) { headStalls_ += n; }
+    /**
+     * Bulk-apply @p n skipped quiescent cycles: store stalls while a
+     * parked store holds the ROB head, head stalls otherwise.
+     */
+    void
+    skipStallCycles(std::uint64_t n)
+    {
+        (storeParkedAtHead() ? storeStalls_ : headStalls_) += n;
+    }
+
+    /** True while some load or store is parked on back-pressure, i.e.
+     *  a hierarchy wake event would let it probe again. */
+    bool hasParkedAccess() const { return parked_ > 0; }
 
   private:
+    static constexpr std::uint64_t kUnparked = ~std::uint64_t{0};
+
     struct RobEntry
     {
         trace::TraceInstr::Op op;
@@ -102,7 +118,29 @@ class Core
         std::uint64_t producerSeq = kTickMax; //!< dep-chain producer
         bool started = false; //!< load sent to the hierarchy
         bool isChainHead = false; //!< member of a dependence chain
+        /** Hierarchy wake epoch of the last Retry; kUnparked if none. */
+        std::uint64_t parkedEpoch = kUnparked;
     };
+
+    /** @p e got Retry and no wake event has happened since: probing it
+     *  again would Retry without any effect. */
+    bool
+    parked(const RobEntry &e) const
+    {
+        return e.parkedEpoch == mem_.wakeEpoch();
+    }
+
+    bool
+    storeParkedAtHead() const
+    {
+        return !rob_.empty() &&
+               rob_.front().op == trace::TraceInstr::Op::Store &&
+               parked(rob_.front());
+    }
+
+    /** Record a Retry of @p e (park) or its success (unpark). */
+    void park(RobEntry &e);
+    void unpark(RobEntry &e);
 
     RobEntry *entryOf(std::uint64_t seq);
     const RobEntry *entryOf(std::uint64_t seq) const;
@@ -123,6 +161,7 @@ class Core
     std::deque<std::uint64_t> pendingLoads_; //!< waiting to start
     std::vector<std::uint64_t> lastChainSeq_; //!< per chain id
     std::size_t memOpsInRob_ = 0;
+    std::size_t parked_ = 0; //!< entries with parkedEpoch != kUnparked
 
     trace::TraceInstr lookahead_;
     bool lookaheadValid_ = false;

@@ -10,18 +10,35 @@ namespace bsim::ctrl
 {
 
 BurstScheduler::BurstScheduler(const SchedulerContext &ctx)
-    : Scheduler(ctx), banks_(numBanks())
+    : Scheduler(ctx), banks_(numBanks()), bits_((banks_.size() + 63) / 64)
 {
+}
+
+void
+BurstScheduler::syncBits(std::uint32_t b)
+{
+    const BankState &bs = banks_[b];
+    BankBits &w = bits_[b / 64];
+    const std::uint64_t bit = std::uint64_t(1) << (b % 64);
+    const auto set = [bit](std::uint64_t &word, bool on) {
+        word = on ? word | bit : word & ~bit;
+    };
+    set(w.ongoing, bs.ongoing != nullptr);
+    set(w.ongoingWrite, bs.ongoing && bs.ongoing->isWrite());
+    set(w.reads, !bs.bursts.empty());
+    set(w.writes, !bs.writeQ.empty());
 }
 
 void
 BurstScheduler::enqueue(MemAccess *a)
 {
-    BankState &bs = banks_[bankIndex(a->coords)];
+    const std::uint32_t b = bankIndex(a->coords);
+    BankState &bs = banks_[b];
     if (a->isWrite()) {
         // Figure 4: all writes enter the write queue in order and are
         // complete from the view of the CPU.
         bs.writeQ.push_back(a);
+        syncBits(b);
         writes_ += 1;
         writeArrivals_ = writeArrivals_ * 0.999 + 1.0;
         noteWriteEnqueued(a);
@@ -55,6 +72,7 @@ BurstScheduler::enqueue(MemAccess *a)
     nb.firstArrival = a->arrival;
     nb.reads.push_back(a);
     bs.bursts.push_back(std::move(nb));
+    syncBits(b);
     burstsFormed_ += 1;
 }
 
@@ -227,15 +245,19 @@ BurstScheduler::priorityOf(const MemAccess *a, dram::CmdType cmd) const
 Scheduler::Issued
 BurstScheduler::tick(Tick now)
 {
-    // Bank arbiters (Figure 5) including preemption checks.
-    for (std::uint32_t b = 0; b < banks_.size(); ++b) {
-        maybePreempt(b, now);
-        arbitrate(b, now);
-        // A preempted write keeps its original pick time.
-        if (MemAccess *a = banks_[b].ongoing;
-            a && a->pickedAt == kTickMax)
-            a->pickedAt = now;
-    }
+    // Bank arbiters (Figure 5) including preemption checks, on the
+    // banks where one can move. A visit changes only its own bank, so
+    // the set taken up front is the set a full scan would act on.
+    forEachBank([](const BankBits &w) { return w.live(); },
+                [&](std::uint32_t b) {
+                    maybePreempt(b, now);
+                    arbitrate(b, now);
+                    syncBits(b);
+                    // A preempted write keeps its original pick time.
+                    if (MemAccess *a = banks_[b].ongoing;
+                        a && a->pickedAt == kTickMax)
+                        a->pickedAt = now;
+                });
 
     // Transaction scheduler (Figure 6 with the Table 2 priorities):
     // among all banks' ongoing accesses pick the unblocked transaction
@@ -246,25 +268,24 @@ BurstScheduler::tick(Tick now)
     int best_prio = 9;
     MemAccess *oldest_any = nullptr;
 
-    for (std::uint32_t b = 0; b < banks_.size(); ++b) {
-        MemAccess *a = banks_[b].ongoing;
-        if (!a)
-            continue;
-        if (!oldest_any || a->arrival < oldest_any->arrival)
-            oldest_any = a;
-        const dram::CmdType cmd = nextCmd(a);
-        const int prio = priorityOf(a, cmd);
-        if (prio > best_prio ||
-            (prio == best_prio && best && a->arrival >= best->arrival)) {
-            continue;
-        }
-        if (bankBound(b, a, now) > now)
-            continue;
-        best = a;
-        best_bank = b;
-        best_cmd = cmd;
-        best_prio = prio;
-    }
+    forEachBank([](const BankBits &w) { return w.ongoing; },
+                [&](std::uint32_t b) {
+                    MemAccess *a = banks_[b].ongoing;
+                    if (!oldest_any || a->arrival < oldest_any->arrival)
+                        oldest_any = a;
+                    const dram::CmdType cmd = nextCmd(a);
+                    const int prio = priorityOf(a, cmd);
+                    if (prio > best_prio ||
+                        (prio == best_prio && best &&
+                         a->arrival >= best->arrival))
+                        return;
+                    if (bankBound(b, a, now) > now)
+                        return;
+                    best = a;
+                    best_bank = b;
+                    best_cmd = cmd;
+                    best_prio = prio;
+                });
 
     if (!best) {
         // Figure 6 lines 14-15: with nothing unblocked, switch to the bank
@@ -301,6 +322,7 @@ BurstScheduler::tick(Tick now)
         }
         bs.ongoing = nullptr;
         bs.ongoingFromBurst = false;
+        syncBits(best_bank);
         lastBank_ = best_bank;
         lastRank_ = best->coords.rank;
         lastValid_ = true;
@@ -367,51 +389,56 @@ BurstScheduler::nextEventTick(Tick now) const
     const bool write_q_full = global_writes >= ctx_.params.writeCap;
     const std::size_t threshold = effectiveThreshold();
 
-    for (const BankState &bs : banks_) {
-        if (bs.ongoing) {
-            if (ctx_.params.readPreemption && bs.ongoing->isWrite() &&
-                !bs.bursts.empty() && global_writes < threshold) {
-                pin_ = HorizonPin::Preempt;
-                return now; // maybePreempt() would fire
+    // Only live banks can move (BankBits::live); visiting them in
+    // ascending order keeps the first-move pin of a full scan.
+    for (std::size_t w = 0; w < bits_.size(); ++w) {
+        for (std::uint64_t m = bits_[w].live(); m; m &= m - 1) {
+            const BankState &bs = banks_[w * 64 + std::countr_zero(m)];
+            if (bs.ongoing) {
+                // An ongoing write with queued reads.
+                if (ctx_.params.readPreemption &&
+                    global_writes < threshold) {
+                    pin_ = HorizonPin::Preempt;
+                    return now; // maybePreempt() would fire
+                }
+                continue;
             }
-            continue;
-        }
-        if (!bs.bursts.empty()) {
-            pin_ = HorizonPin::ArbFill;
-            return now; // arbitrate() would start a burst read
-        }
-        if (bs.writeQ.empty())
-            continue;
-        if (write_q_full || reads_ == 0) {
-            pin_ = HorizonPin::WriteDrain;
-            return now; // arbitrate() would take the oldest write
-        }
-        if (ctx_.params.writePiggyback && global_writes > threshold &&
-            bs.endOfBurst) {
-            // Const replay of findPiggybackWrite(): any queued write to
-            // the bank's open row qualifies.
-            const dram::Bank &bank =
-                ctx_.mem->bank(bs.writeQ.front()->coords);
-            if (bank.isOpen())
-                for (const MemAccess *w : bs.writeQ)
-                    if (w->coords.row == bank.openRow()) {
-                        pin_ = HorizonPin::Piggyback;
-                        return now;
-                    }
+            if (!bs.bursts.empty()) {
+                pin_ = HorizonPin::ArbFill;
+                return now; // arbitrate() would start a burst read
+            }
+            if (write_q_full || reads_ == 0) {
+                pin_ = HorizonPin::WriteDrain;
+                return now; // arbitrate() would take the oldest write
+            }
+            if (ctx_.params.writePiggyback && global_writes > threshold &&
+                bs.endOfBurst) {
+                // Const replay of findPiggybackWrite(): any queued write
+                // to the bank's open row qualifies.
+                const dram::Bank &bank =
+                    ctx_.mem->bank(bs.writeQ.front()->coords);
+                if (bank.isOpen())
+                    for (const MemAccess *wr : bs.writeQ)
+                        if (wr->coords.row == bank.openRow()) {
+                            pin_ = HorizonPin::Piggyback;
+                            return now;
+                        }
+            }
         }
     }
 
     pin_ = HorizonPin::Timing;
     Tick horizon = kTickMax;
-    for (std::uint32_t b = 0; b < std::uint32_t(banks_.size()); ++b) {
-        const BankState &bs = banks_[b];
-        if (!bs.ongoing)
-            continue;
-        const Tick t = bankBound(b, bs.ongoing, now);
-        if (t < horizon)
-            horizon = t;
-        if (horizon <= now)
-            return now;
+    for (std::size_t w = 0; w < bits_.size(); ++w) {
+        for (std::uint64_t m = bits_[w].ongoing; m; m &= m - 1) {
+            const std::uint32_t b =
+                std::uint32_t(w * 64 + std::countr_zero(m));
+            const Tick t = bankBound(b, banks_[b].ongoing, now);
+            if (t < horizon)
+                horizon = t;
+            if (horizon <= now)
+                return now;
+        }
     }
     if (horizon == kTickMax)
         pin_ = HorizonPin::None;
@@ -428,11 +455,12 @@ BurstScheduler::onIdleSpan(Tick from, Tick span)
     // priority. The ongoing set is frozen across a dead span, so the
     // per-tick update is idempotent — replay it once.
     const MemAccess *oldest_any = nullptr;
-    for (const BankState &bs : banks_) {
-        const MemAccess *a = bs.ongoing;
-        if (a && (!oldest_any || a->arrival < oldest_any->arrival))
-            oldest_any = a;
-    }
+    forEachBank([](const BankBits &w) { return w.ongoing; },
+                [&](std::uint32_t b) {
+                    const MemAccess *a = banks_[b].ongoing;
+                    if (!oldest_any || a->arrival < oldest_any->arrival)
+                        oldest_any = a;
+                });
     if (oldest_any) {
         lastBank_ = bankIndex(oldest_any->coords);
         lastRank_ = oldest_any->coords.rank;

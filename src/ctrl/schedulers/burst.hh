@@ -27,6 +27,7 @@
 #ifndef BURSTSIM_CTRL_SCHEDULERS_BURST_HH
 #define BURSTSIM_CTRL_SCHEDULERS_BURST_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -95,6 +96,42 @@ class BurstScheduler : public Scheduler
         bool frontStarted = false;       //!< front burst partially served
     };
 
+    /**
+     * Per-bank state bits, 64 banks per word. Every bank arbiter move
+     * needs a queued access, so the Figure 5 pass and the horizon scan
+     * visit only banks with queued work and no ongoing access, plus
+     * banks whose ongoing write a queued read could preempt; the
+     * Figure 6 pick and the timing scan visit only ongoing banks. For
+     * every other bank maybePreempt() and arbitrate() are no-ops.
+     */
+    struct BankBits
+    {
+        std::uint64_t ongoing = 0;      //!< an ongoing access
+        std::uint64_t ongoingWrite = 0; //!< ... which is a write
+        std::uint64_t reads = 0;        //!< queued read bursts
+        std::uint64_t writes = 0;       //!< queued writes
+
+        /** Banks where a Figure 5 move is possible. */
+        std::uint64_t
+        live() const
+        {
+            return ((reads | writes) & ~ongoing) | (ongoingWrite & reads);
+        }
+    };
+
+    /** Re-derive bank @p b's bits after its state changed. */
+    void syncBits(std::uint32_t b);
+
+    /** Call @p f(b) for every bank set in @p pick(word), ascending. */
+    template <class Pick, class F>
+    void
+    forEachBank(Pick pick, F f) const
+    {
+        for (std::size_t w = 0; w < bits_.size(); ++w)
+            for (std::uint64_t m = pick(bits_[w]); m; m &= m - 1)
+                f(std::uint32_t(w * 64 + std::countr_zero(m)));
+    }
+
     /** Figure 5: pick an ongoing access for bank @p b if it has none. */
     void arbitrate(std::uint32_t b, Tick now);
 
@@ -111,6 +148,7 @@ class BurstScheduler : public Scheduler
     std::size_t effectiveThreshold() const;
 
     std::vector<BankState> banks_;
+    std::vector<BankBits> bits_;
     std::size_t reads_ = 0;
     std::size_t writes_ = 0;
 

@@ -135,6 +135,19 @@ checkPoint(const FuzzPoint &p, const OracleOptions &opt)
         return v;
     }
 
+    // Miss identity: a Retry counts no lookup and an MSHR merge returns
+    // before the L2 lookup, so every counted L2 miss allocated exactly
+    // one fill. (Step and skip agree byte for byte by now.)
+    if (skip.l2Misses != skip.memReads) {
+        v.ok = false;
+        v.oracle = "miss_identity";
+        std::ostringstream os;
+        os << "l2_misses " << skip.l2Misses << " != mem_reads "
+           << skip.memReads;
+        v.detail = os.str();
+        return v;
+    }
+
     // Telescoping identity: each channel's cause counts partition its
     // attributed cycles, and every channel was attributed for exactly
     // the run's memory cycles.

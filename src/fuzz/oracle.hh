@@ -11,6 +11,9 @@
  *  - engine_equivalence
  *                    the step and skip engines must produce byte-
  *                    identical result and stall-attribution JSON;
+ *  - miss_identity   every counted L2 miss is one memory read
+ *                    (l2_misses == mem_reads): back-pressure retries
+ *                    count no lookup and MSHR merges skip the L2;
  *  - telescoping     per channel, the per-cause stall counts must sum
  *                    exactly to the attributed cycles, which must equal
  *                    the run's memory cycles;

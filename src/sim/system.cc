@@ -171,6 +171,12 @@ System::admitFsb()
                                      : AccessType::Read,
                           rq.addr, now_, nullptr, rrCore_, rq.critical);
             node.fsbQueue.pop_front();
+            // The freed slot wakes the core's parked accesses. A core
+            // with none keeps its quiescence verdict: the pop cannot
+            // change what its next cycle does.
+            node.caches->onPortRoom();
+            if (node.core->hasParkedAccess())
+                node.quiesceValid = false;
             idle = 0;
         } else {
             idle += 1;
@@ -211,38 +217,10 @@ System::tick()
 
     // 4. CPU cycles within this memory cycle, for every running core.
     obs::prof::Scope cpu_prof(obs::prof::Phase::CpuPhase);
-    const bool ed = cfg_.engine == EngineKind::Skip;
-    const std::uint32_t window = cfg_.cpuCyclesPerMemCycle;
     bool all_done = true;
-    for (std::uint32_t i = 0; i < numCores(); ++i) {
-        CoreNode &node = cores_[i];
-        if (node.done)
-            continue;
-        node.quiesceValid = false; // the phase below mutates the core
-        for (std::uint32_t c = 0; c < window; ++c) {
-            node.core->cpuCycle(cpuNow_ + c);
-            if (node.core->done()) {
-                node.done = true;
-                node.doneAtCpu = cpuNow_ + c + 1;
-                break;
-            }
-            // Skip engine: once the core goes quiescent mid-window with
-            // no local wakeup before the window ends, the remaining CPU
-            // cycles are pure head-stalls (responses arrive only at
-            // tick boundaries) — apply them in bulk. The verdict also
-            // primes the quiescence cache for the next cpuQuiet().
-            if (ed && c + 1 < window &&
-                node.core->quiescentAt(cpuNow_ + c + 1)) {
-                const std::uint64_t ev =
-                    node.core->nextLocalEventCpu(cpuNow_ + c + 1);
-                if (ev >= cpuNow_ + window) {
-                    node.core->skipStallCycles(window - c - 1);
-                    node.quiesceValid = true;
-                    node.quiesceEventCpu = ev;
-                    break;
-                }
-            }
-        }
+    for (CoreNode &node : cores_) {
+        if (!node.done)
+            cpuWindow(node);
         all_done = all_done && node.done;
     }
     cpuNow_ += cfg_.cpuCyclesPerMemCycle;
@@ -254,55 +232,58 @@ System::tick()
     now_ += 1;
 }
 
+void
+System::cpuWindow(CoreNode &node)
+{
+    const bool ed = cfg_.engine == EngineKind::Skip;
+    const std::uint32_t window = cfg_.cpuCyclesPerMemCycle;
+    // Skip engine: a core quiescent through the whole window (no
+    // response delivered to it and no wake of a parked access this
+    // tick, no local event before the window ends) would only stall;
+    // charge the window in bulk and keep the verdict.
+    if (ed && coreQuiescent(node) &&
+        node.quiesceEventCpu >= cpuNow_ + window) {
+        node.core->skipStallCycles(window);
+        return;
+    }
+    node.quiesceValid = false; // the cycles below mutate the core
+    for (std::uint32_t c = 0; c < window; ++c) {
+        node.core->cpuCycle(cpuNow_ + c);
+        if (node.core->done()) {
+            node.done = true;
+            node.doneAtCpu = cpuNow_ + c + 1;
+            return;
+        }
+        // Skip engine: once the core goes quiescent mid-window with no
+        // local wakeup before the window ends, the remaining CPU
+        // cycles are pure stalls (responses arrive only at tick
+        // boundaries) — apply them in bulk. The verdict also primes
+        // the quiescence cache for the next tick.
+        if (ed && c + 1 < window &&
+            node.core->quiescentAt(cpuNow_ + c + 1)) {
+            const std::uint64_t ev =
+                node.core->nextLocalEventCpu(cpuNow_ + c + 1);
+            if (ev >= cpuNow_ + window) {
+                node.core->skipStallCycles(window - c - 1);
+                node.quiesceValid = true;
+                node.quiesceEventCpu = ev;
+                return;
+            }
+        }
+    }
+}
+
 bool
 System::coreQuiescent(CoreNode &node)
 {
     if (!node.quiesceValid) {
+        quiesceWalks_ += 1;
         if (!node.core->quiescentAt(cpuNow_))
             return false;
         node.quiesceEventCpu = node.core->nextLocalEventCpu(cpuNow_);
         node.quiesceValid = true;
     }
     return true;
-}
-
-bool
-System::cpuQuiet()
-{
-    if (!respQueue_.empty() && respQueue_.top().at <= now_)
-        return false;
-    for (CoreNode &node : cores_) {
-        if (node.done)
-            continue;
-        if (!coreQuiescent(node) ||
-            node.quiesceEventCpu < cpuNow_ + cfg_.cpuCyclesPerMemCycle)
-            return false;
-    }
-    return true;
-}
-
-void
-System::fastTick()
-{
-    // cpuQuiet() established: no response due, every running core
-    // quiescent through this tick's whole CPU-cycle window. Each of
-    // those CPU cycles would only bump headStalls_, so apply them in
-    // bulk; the memory side runs exactly as in tick().
-    if (intro_)
-        intro_->noteStepped();
-    {
-        obs::prof::Scope prof(obs::prof::Phase::CtrlTick);
-        ctrl_->tick(now_);
-    }
-    {
-        obs::prof::Scope prof(obs::prof::Phase::FsbAdmit);
-        admitFsb();
-    }
-    for (CoreNode &node : cores_)
-        if (!node.done)
-            node.core->skipStallCycles(cfg_.cpuCyclesPerMemCycle);
-    cpuNow_ += cfg_.cpuCyclesPerMemCycle;
-    now_ += 1;
 }
 
 bool
@@ -457,19 +438,11 @@ System::run(Tick max_ticks)
         checkProgress(watch);
         if (now_ - start >= max_ticks)
             break;
-        if (!skip) {
-            tick();
-            continue;
-        }
-        // With a dead CPU phase the tick degrades to its memory side
-        // plus a bulk stall update; when the memory side is idle too,
-        // the horizon then covers whole spans of such ticks at once.
-        const bool quiet = cpuQuiet();
-        if (quiet)
-            fastTick();
-        else
-            tick();
-        if (done())
+        // Under the skip engine a quiescent core's CPU window degrades
+        // to a bulk stall update inside tick(); when every core and the
+        // memory side are idle, the horizon covers whole spans at once.
+        tick();
+        if (!skip || done())
             continue;
         obs::WakeSource wake;
         Tick h = skipHorizon(intro_ ? &wake : nullptr);

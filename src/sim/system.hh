@@ -159,6 +159,13 @@ class System
     dram::MemorySystem &mem() { return *mem_; }
     const SystemConfig &config() const { return cfg_; }
 
+    /**
+     * Quiescence verdicts the skip engine derived from scratch, i.e.
+     * misses of its per-core quiescence cache. A host-cost counter,
+     * not a statistic of the modelled machine.
+     */
+    std::uint64_t quiescenceWalks() const { return quiesceWalks_; }
+
     /** Observability pillars of this run; nullptr when all disabled. */
     obs::Observability *observability() { return obs_.get(); }
 
@@ -199,9 +206,10 @@ class System
         /**
          * Cached quiescence verdict (skip engine). Once a core is
          * quiescent it stays so until its own wakeup cycle
-         * (quiesceEventCpu) or a memory response; the cache is
-         * invalidated on delivery and after any real CPU phase, so the
-         * per-tick check is O(1) instead of a ROB/pending-load walk.
+         * (quiesceEventCpu), a memory response, or an FSB pop while it
+         * has a parked access; the cache is invalidated on those and
+         * after any stepped CPU cycle, so the per-tick check is O(1)
+         * instead of a ROB/pending-load walk.
          */
         bool quiesceValid = false;
         std::uint64_t quiesceEventCpu = 0;
@@ -245,27 +253,22 @@ class System
      */
     void checkProgress(WatchState &w);
 
-    /** FSB admission (tick step 3), shared by tick() and fastTick(). */
+    /** FSB admission (tick step 3); wakes cores with parked accesses. */
     void admitFsb();
+
+    /**
+     * One core's CPU cycles of the current tick (tick step 4). Under
+     * the skip engine a core quiescent through the whole window is
+     * charged in bulk; otherwise its cycles are stepped, and a core
+     * that goes quiescent mid-window is bulk-charged for the rest.
+     */
+    void cpuWindow(CoreNode &node);
 
     /**
      * Refresh @p node's quiescence cache; false when the core is not
      * quiescent at cpuNow_.
      */
     bool coreQuiescent(CoreNode &node);
-
-    /**
-     * True when this tick's whole CPU phase is provably dead: no
-     * response due and every running core quiescent past the end of
-     * the tick's CPU-cycle window.
-     */
-    bool cpuQuiet();
-
-    /**
-     * tick() with the CPU phase replaced by a bulk head-stall update.
-     * Only legal when cpuQuiet() holds; statistics are identical.
-     */
-    void fastTick();
 
     /**
      * Earliest tick >= now_ at which anything observable can happen:
@@ -299,6 +302,7 @@ class System
     std::uint64_t execCpuCycles_ = 0;
     bool allDone_ = false;
     std::uint32_t rrCore_ = 0; //!< FSB admission round robin
+    std::uint64_t quiesceWalks_ = 0;
 };
 
 } // namespace bsim::sim

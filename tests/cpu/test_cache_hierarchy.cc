@@ -207,3 +207,98 @@ TEST(Hierarchy, StatsCount)
     EXPECT_EQ(h.l1d().hits(), 1u);
     EXPECT_EQ(h.l1d().misses(), 1u);
 }
+
+TEST(Hierarchy, RetryCountsNoMiss)
+{
+    FakePort port;
+    CacheHierarchy h(tinyConfig(), port);
+    for (Addr a = 0; a < 4; ++a)
+        h.access(a * 64, false);
+    const std::uint64_t l1 = h.l1d().misses(), l2 = h.l2().misses();
+    for (int i = 0; i < 5; ++i)
+        EXPECT_EQ(h.access(4 * 64, false).outcome, CacheOutcome::Retry);
+    EXPECT_EQ(h.l1d().misses(), l1) << "a Retry is not a lookup";
+    EXPECT_EQ(h.l2().misses(), l2);
+    h.onMemResponse(0);
+    EXPECT_EQ(h.access(4 * 64, false).outcome, CacheOutcome::Miss);
+    EXPECT_EQ(h.l1d().misses(), l1 + 1) << "the final outcome counts once";
+    EXPECT_EQ(h.l2().misses(), l2 + 1);
+}
+
+TEST(Hierarchy, HitsStillServedWhileFillsAreBlocked)
+{
+    FakePort port;
+    port.cap = 0; // no fill can start
+    CacheHierarchy h(tinyConfig(), port);
+    h.prefill(0x1000, false, /*also_l1*/ true);
+    h.prefill(0x2000, false);
+    EXPECT_EQ(h.access(0x1000, false).outcome, CacheOutcome::L1Hit);
+    EXPECT_EQ(h.access(0x2000, false).outcome, CacheOutcome::L2Hit);
+    EXPECT_EQ(h.access(0x3000, false).outcome, CacheOutcome::Retry);
+    EXPECT_EQ(h.l1d().misses(), 1u) << "only the L2 hit missed in L1";
+    EXPECT_EQ(h.l2().misses(), 0u);
+}
+
+TEST(Hierarchy, WakeEpochMovesOnlyOnWakeEvents)
+{
+    FakePort port;
+    CacheHierarchy h(tinyConfig(), port);
+    h.prefill(0x8000, false, /*also_l1*/ true);
+    h.prefill(0x9000, false);
+    std::uint64_t e = h.wakeEpoch();
+
+    // Hits, merges, Retries and responses to blocks without an MSHR
+    // cannot turn a Retry into a success.
+    h.access(0x8000, false);
+    h.access(0x9000, true);
+    EXPECT_EQ(h.wakeEpoch(), e);
+
+    // 1. An MSHR allocation (a merge into it becomes possible).
+    for (Addr a = 0; a < 4; ++a) {
+        h.access(a * 64, false);
+        EXPECT_EQ(h.wakeEpoch(), ++e);
+    }
+    h.access(0, false); // merge
+    EXPECT_EQ(h.access(4 * 64, false).outcome, CacheOutcome::Retry);
+    EXPECT_TRUE(h.onMemResponse(0x7000).empty());
+    EXPECT_EQ(h.wakeEpoch(), e);
+
+    // 2. An MSHR release.
+    h.onMemResponse(0);
+    EXPECT_EQ(h.wakeEpoch(), ++e);
+
+    // 3. Room in the port.
+    h.onPortRoom();
+    EXPECT_EQ(h.wakeEpoch(), ++e);
+}
+
+TEST(Hierarchy, EveryCountedL2MissIsOneMemoryRead)
+{
+    // Heavy back-pressure: two MSHRs and a port that holds two
+    // requests, drained one request at a time.
+    FakePort port;
+    port.cap = 2;
+    HierarchyConfig cfg = tinyConfig();
+    cfg.mshrs = 2;
+    CacheHierarchy h(cfg, port);
+    std::vector<Addr> inflight;
+    std::uint64_t retries = 0;
+    for (std::uint32_t i = 0; i < 4000; ++i) {
+        const Addr a = Addr((i * 2654435761u) % 512) * 64;
+        const auto r = h.access(a, i % 3 == 0);
+        retries += r.outcome == CacheOutcome::Retry;
+        if (!port.reads.empty()) {
+            inflight.push_back(port.reads.front());
+            port.reads.erase(port.reads.begin());
+        }
+        if (!port.writes.empty())
+            port.writes.erase(port.writes.begin());
+        if (i % 4 == 3 && !inflight.empty()) {
+            h.onMemResponse(inflight.front());
+            inflight.erase(inflight.begin());
+        }
+    }
+    EXPECT_GT(retries, 100u) << "the stream must exercise back-pressure";
+    EXPECT_GT(h.l2().misses(), 100u);
+    EXPECT_EQ(h.l2().misses(), h.memReads());
+}

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "cpu/core.hh"
+#include "sim/system.hh"
 #include "trace/instr.hh"
 
 using namespace bsim;
@@ -68,12 +70,12 @@ store(Addr a)
 
 struct Fixture
 {
-    Fixture()
+    explicit Fixture(std::uint32_t mshrs = 8)
     {
         HierarchyConfig hcfg;
         hcfg.l1d = {512, 2, 64};
         hcfg.l2 = {2048, 2, 64};
-        hcfg.mshrs = 8;
+        hcfg.mshrs = mshrs;
         hier = std::make_unique<CacheHierarchy>(hcfg, port);
     }
 
@@ -238,7 +240,10 @@ TEST(Core, BlockedMemoryStallsStoreRetirement)
         f.core->cpuCycle(f.now++);
     EXPECT_EQ(f.core->retired(), 0u);
     EXPECT_GT(f.core->storeStallCycles(), 0u);
+    // The port's owner signals freed room, as System::admitFsb does on
+    // every FSB pop; the parked store re-probes only after it.
     f.port.blocked = false;
+    f.hier->onPortRoom();
     f.run(10000, 20);
     EXPECT_TRUE(f.core->done());
 }
@@ -282,4 +287,225 @@ TEST(Core, ChainAcrossRetiredProducerStartsImmediately)
     f.run(100000, 30);
     EXPECT_TRUE(f.core->done());
     EXPECT_EQ(f.core->retired(), 302u);
+}
+
+// ---------------------------------------------------------------------
+// Back-pressure parking. A load or store that gets Retry is parked and
+// probes the hierarchy again only after a wake event: an MSHR release,
+// an MSHR allocation, or room in the port. A parked access leaves the
+// core quiescent, which is what the cycle-skipping engine batches.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Three loads issued into a blocked port: all parked, core idle. */
+struct ParkedLoads : Fixture
+{
+    ParkedLoads()
+    {
+        port.blocked = true;
+        makeCore({load(0x10000), load(0x20000), load(0x30000)});
+        core->cpuCycle(now++);
+        // Unblocking the port without telling the hierarchy is not a
+        // wake event: the loads stay parked.
+        port.blocked = false;
+    }
+
+    /** Step @p n cycles; true when the core stayed quiescent. */
+    bool
+    idleFor(int n)
+    {
+        for (int c = 0; c < n; ++c) {
+            if (!core->quiescentAt(now))
+                return false;
+            core->cpuCycle(now++);
+        }
+        return port.pending.empty();
+    }
+};
+
+} // namespace
+
+TEST(CoreParking, ParkedLoadsKeepCoreQuiescent)
+{
+    ParkedLoads f;
+    EXPECT_TRUE(f.core->hasParkedAccess());
+    EXPECT_TRUE(f.idleFor(50));
+    EXPECT_EQ(f.core->nextLocalEventCpu(f.now), kTickMax)
+        << "only an external event can wake a parked core";
+    // Hierarchy traffic that is not a wake event changes nothing.
+    f.hier->prefill(0x40000, false, /*also_l1*/ true);
+    f.hier->access(0x40000, false);
+    EXPECT_TRUE(f.hier->onMemResponse(0x50000).empty());
+    EXPECT_TRUE(f.idleFor(20));
+}
+
+TEST(CoreParking, PortRoomWakesParkedLoads)
+{
+    ParkedLoads f;
+    f.hier->onPortRoom();
+    EXPECT_FALSE(f.core->quiescentAt(f.now));
+    f.core->cpuCycle(f.now++);
+    EXPECT_EQ(f.port.pending, (std::deque<Addr>{0x10000, 0x20000, 0x30000}))
+        << "woken loads start in FIFO order";
+    EXPECT_FALSE(f.core->hasParkedAccess());
+}
+
+TEST(CoreParking, MshrAllocationWakesParkedLoads)
+{
+    ParkedLoads f;
+    f.hier->access(0x60000, false); // another requester allocates
+    EXPECT_FALSE(f.core->quiescentAt(f.now));
+    f.core->cpuCycle(f.now++);
+    EXPECT_EQ(f.port.pending.size(), 4u);
+    EXPECT_FALSE(f.core->hasParkedAccess());
+}
+
+TEST(CoreParking, MshrReleaseWakesParkedLoadInFifoOrder)
+{
+    Fixture f(/*mshrs*/ 2);
+    f.makeCore({load(0x10000), load(0x20000), load(0x30000),
+                load(0x40000)});
+    f.core->cpuCycle(f.now++);
+    ASSERT_EQ(f.port.pending.size(), 2u);
+    EXPECT_TRUE(f.core->hasParkedAccess());
+    EXPECT_TRUE(f.core->quiescentAt(f.now));
+    // A merge into an in-flight fill is not a wake event.
+    f.hier->access(0x10000, false);
+    EXPECT_TRUE(f.core->quiescentAt(f.now));
+
+    // Releasing the second fill frees one MSHR: the older parked load
+    // takes it, the younger one parks again.
+    f.core->onMemResponse(0x20000, f.now);
+    EXPECT_FALSE(f.core->quiescentAt(f.now));
+    f.core->cpuCycle(f.now++);
+    ASSERT_EQ(f.port.pending.size(), 3u);
+    EXPECT_EQ(f.port.pending.back(), 0x30000u);
+    EXPECT_TRUE(f.core->hasParkedAccess());
+    EXPECT_TRUE(f.core->quiescentAt(f.now));
+
+    f.core->onMemResponse(0x30000, f.now);
+    f.core->cpuCycle(f.now++);
+    EXPECT_EQ(f.port.pending,
+              (std::deque<Addr>{0x10000, 0x20000, 0x30000, 0x40000}));
+    EXPECT_FALSE(f.core->hasParkedAccess());
+}
+
+TEST(CoreParking, ParkedStoreHeadChargesStoreStalls)
+{
+    Fixture f;
+    f.port.blocked = true;
+    f.makeCore({store(0x50000), compute()});
+    for (int c = 0; c < 10; ++c)
+        f.core->cpuCycle(f.now++);
+    const std::uint64_t stores = f.core->storeStallCycles();
+    const std::uint64_t heads = f.core->headStallCycles();
+    EXPECT_GT(stores, 0u);
+    ASSERT_TRUE(f.core->quiescentAt(f.now));
+    EXPECT_EQ(f.core->nextLocalEventCpu(f.now), kTickMax);
+    f.core->skipStallCycles(7);
+    EXPECT_EQ(f.core->storeStallCycles(), stores + 7);
+    EXPECT_EQ(f.core->headStallCycles(), heads);
+
+    f.port.blocked = false;
+    f.hier->onPortRoom();
+    EXPECT_FALSE(f.core->quiescentAt(f.now));
+    f.run(10000, 20);
+    EXPECT_TRUE(f.core->done());
+    EXPECT_EQ(f.core->stores(), 1u);
+}
+
+namespace
+{
+
+/** Stores to distinct blocks through a two-slot FSB: the store at the
+ *  ROB head parks on a full FSB queue for most of the run. */
+sim::System
+storeStormSystem(sim::EngineKind engine, ListTrace &t)
+{
+    t.instrs.clear();
+    for (int i = 0; i < 400; ++i) {
+        t.instrs.push_back(store(Addr(0x100000 + 64 * i)));
+        t.instrs.push_back(compute());
+    }
+    sim::SystemConfig cfg = sim::SystemConfig::baseline();
+    cfg.caches.mshrs = 2;
+    cfg.memQueueCap = 2;
+    cfg.engine = engine;
+    return sim::System(cfg, t);
+}
+
+} // namespace
+
+TEST(CoreParking, StoreStallsIdenticalUnderBothEngines)
+{
+    ListTrace ts, tk;
+    sim::System step(storeStormSystem(sim::EngineKind::Step, ts));
+    sim::System skip(storeStormSystem(sim::EngineKind::Skip, tk));
+    step.run(1'000'000);
+    skip.run(1'000'000);
+    ASSERT_TRUE(step.done());
+    ASSERT_TRUE(skip.done());
+    EXPECT_GT(step.core().storeStallCycles(), 0u);
+    EXPECT_EQ(step.core().storeStallCycles(),
+              skip.core().storeStallCycles());
+    EXPECT_EQ(step.core().headStallCycles(),
+              skip.core().headStallCycles());
+    EXPECT_EQ(step.execCpuCycles(), skip.execCpuCycles());
+}
+
+namespace
+{
+
+/** A skip-engine machine with a 4-entry ROB whose first load misses;
+ *  with @p park_second a second load parks on the two-slot FSB. */
+struct PopFixture
+{
+    explicit PopFixture(bool park_second)
+    {
+        t.instrs = {load(0x100000), load(0x200000), compute(), compute()};
+        if (!park_second)
+            t.instrs[1] = compute();
+        sim::SystemConfig cfg = sim::SystemConfig::baseline();
+        cfg.core.robSize = 4;
+        cfg.memQueueCap = 2;
+        cfg.engine = sim::EngineKind::Skip;
+        sys = std::make_unique<sim::System>(cfg, t);
+    }
+
+    ListTrace t;
+    std::unique_ptr<sim::System> sys;
+};
+
+} // namespace
+
+TEST(CoreParking, FsbPopKeepsVerdictOfCoreWithoutParkedAccess)
+{
+    // The first fill enters the FSB at tick 0 and is admitted (popped)
+    // at tick fsbLatency = 2, while the core waits on it.
+    PopFixture f(/*park_second*/ false);
+    f.sys->tick(); // the core goes quiescent mid-window
+    ASSERT_FALSE(f.sys->core().hasParkedAccess());
+    const std::uint64_t walks = f.sys->quiescenceWalks();
+    f.sys->tick();
+    f.sys->tick(); // pops the fill
+    ASSERT_EQ(f.sys->controller().readsOutstanding(), 1u);
+    EXPECT_EQ(f.sys->quiescenceWalks(), walks)
+        << "a pop must not invalidate a core with nothing parked";
+}
+
+TEST(CoreParking, FsbPopWakesCoreWithParkedAccessInSameTick)
+{
+    PopFixture f(/*park_second*/ true);
+    f.sys->tick();
+    ASSERT_TRUE(f.sys->core().hasParkedAccess());
+    EXPECT_EQ(f.sys->caches().memReads(), 1u);
+    const std::uint64_t walks = f.sys->quiescenceWalks();
+    f.sys->tick();
+    EXPECT_EQ(f.sys->quiescenceWalks(), walks);
+    f.sys->tick(); // the pop frees room: the parked load starts now
+    EXPECT_GT(f.sys->quiescenceWalks(), walks);
+    EXPECT_FALSE(f.sys->core().hasParkedAccess());
+    EXPECT_EQ(f.sys->caches().memReads(), 2u);
 }

@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -24,6 +26,8 @@
 #include "sim/experiment.hh"
 #include "sim/report.hh"
 #include "sim/sweep_runner.hh"
+#include "trace/spec_profiles.hh"
+#include "trace/trace_gen.hh"
 
 using namespace bsim;
 using namespace bsim::sim;
@@ -356,6 +360,126 @@ TEST(HorizonMemoEdgeCases, McfLikeBlockingCoreSkipsMajorityOfCycles)
         EXPECT_GE(in->skippedCycles() * 2, r.memCycles)
             << ctrl::mechanismName(m) << ": skipped "
             << in->skippedCycles() << " of " << r.memCycles;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Heavy back-pressure: two MSHRs per core and a two-slot FSB queue keep
+// loads and stores parked most of the time, so the skip engine batches
+// parked cores, wakes them on FSB pops and MSHR releases, and charges
+// store stalls in bulk. Every counter must still match the step engine.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Run @p workloads (one core each, disjoint regions, cold caches) on a
+ *  back-pressured machine and render every statistic it keeps. */
+std::string
+backPressuredRun(const std::vector<std::string> &workloads,
+                 ctrl::Mechanism m, EngineKind engine,
+                 const std::function<void(ctrl::ControllerConfig &)>
+                     &tweak = {})
+{
+    SystemConfig cfg = SystemConfig::baseline();
+    cfg.ctrl.mechanism = m;
+    cfg.caches.mshrs = 2;
+    cfg.memQueueCap = 2;
+    cfg.engine = engine;
+    if (tweak)
+        tweak(cfg.ctrl);
+
+    std::vector<std::unique_ptr<trace::SyntheticGenerator>> gens;
+    std::vector<trace::TraceSource *> sources;
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+        trace::WorkloadProfile prof = trace::profileByName(workloads[i]);
+        prof.regionBase += Addr(i) * (prof.footprintBytes + (64ULL << 20));
+        gens.push_back(std::make_unique<trace::SyntheticGenerator>(
+            prof, kInstr, 20070212 + i));
+        sources.push_back(gens.back().get());
+    }
+    System sys(cfg, sources);
+    sys.run(kInstr * 400 * workloads.size());
+    EXPECT_TRUE(sys.done()) << ctrl::mechanismName(m);
+
+    CmpResult r;
+    r.workloads = workloads;
+    r.mechanism = m;
+    r.instructions = kInstr;
+    r.execCpuCycles = sys.execCpuCycles();
+    r.ctrl = sys.controller().stats();
+    r.dataBusUtil = sys.mem().dataBusUtilization(sys.memCycles());
+    std::ostringstream os;
+    writeCmpResultJson(os, r);
+    os << "mem_cycles " << sys.memCycles() << '\n';
+    for (std::uint32_t i = 0; i < sys.numCores(); ++i) {
+        const cpu::Core &c = sys.core(i);
+        const cpu::CacheHierarchy &h = sys.caches(i);
+        os << "core" << i << ' ' << sys.coreExecCpuCycles(i) << ' '
+           << c.retired() << ' ' << c.loads() << ' ' << c.stores() << ' '
+           << c.headStallCycles() << ' ' << c.storeStallCycles() << ' '
+           << h.l1d().hits() << ' ' << h.l1d().misses() << ' '
+           << h.l2().hits() << ' ' << h.l2().misses() << ' '
+           << h.memReads() << ' ' << h.memWrites() << ' '
+           << h.mshrMerges() << '\n';
+        EXPECT_EQ(h.l2().misses(), h.memReads());
+    }
+    for (const auto &[k, v] : sys.controller().schedulerStats())
+        os << k << ' ' << v << '\n';
+    return os.str();
+}
+
+} // namespace
+
+class BackPressure : public testing::TestWithParam<ctrl::Mechanism>
+{
+};
+
+TEST_P(BackPressure, SingleCoreByteIdentical)
+{
+    for (const char *wl : {"swim", "art"}) {
+        const std::vector<std::string> wls = {wl};
+        EXPECT_EQ(backPressuredRun(wls, GetParam(), EngineKind::Step),
+                  backPressuredRun(wls, GetParam(), EngineKind::Skip))
+            << wl;
+    }
+}
+
+TEST_P(BackPressure, FourCoreCmpByteIdentical)
+{
+    const std::vector<std::string> wls = {"mcf", "swim", "art", "gcc"};
+    EXPECT_EQ(backPressuredRun(wls, GetParam(), EngineKind::Step),
+              backPressuredRun(wls, GetParam(), EngineKind::Skip));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, BackPressure, testing::ValuesIn(kSchedulerClasses),
+    [](const auto &info) {
+        return paramSafe(ctrl::mechanismName(info.param));
+    });
+
+TEST(BackPressureBurst, ExtensionSwitchesByteIdentical)
+{
+    // Every branch of Burst's masked bank arbiter: dynamic threshold,
+    // largest-burst-first, critical-first joins, rank-blind priorities,
+    // with and without preemption and piggybacking.
+    const auto extensions = [](ctrl::ControllerConfig &c) {
+        c.dynamicThreshold = true;
+        c.sortBurstsBySize = true;
+        c.criticalFirst = true;
+        c.rankAware = false;
+    };
+    for (auto m : {ctrl::Mechanism::Burst, ctrl::Mechanism::BurstRP,
+                   ctrl::Mechanism::BurstWP, ctrl::Mechanism::BurstTH}) {
+        for (const std::vector<std::string> &wls :
+             {std::vector<std::string>{"swim"},
+              std::vector<std::string>{"mcf", "swim", "art", "gcc"}}) {
+            EXPECT_EQ(
+                backPressuredRun(wls, m, EngineKind::Step, extensions),
+                backPressuredRun(wls, m, EngineKind::Skip, extensions))
+                << ctrl::mechanismName(m) << " on " << wls.size()
+                << " core(s)";
+        }
     }
 }
 
