@@ -39,6 +39,20 @@ issueWhenReady(MemorySystem &mem, const Command &cmd, Tick &now)
 
 } // namespace
 
+namespace bsim::dram
+{
+
+// Print a preset by name. gtest's default byte dump would include the
+// heap address held by `name`, which changes from run to run and so
+// would make the discovered test names unstable.
+void
+PrintTo(const Timing &t, std::ostream *os)
+{
+    *os << t.name;
+}
+
+} // namespace bsim::dram
+
 class PresetParam : public testing::TestWithParam<Timing>
 {
   protected:

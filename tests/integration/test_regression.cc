@@ -47,6 +47,15 @@ const Golden kGolden[] = {
     {"gzip", ctrl::Mechanism::BurstTH, 60390ull, 1172ull, 189ull},
 };
 
+// Print a point by name. gtest's default byte dump would include the
+// address of the `workload` string, which changes from run to run and
+// so would make the discovered test names unstable.
+void
+PrintTo(const Golden &g, std::ostream *os)
+{
+    *os << g.workload << ' ' << ctrl::mechanismName(g.mechanism);
+}
+
 } // namespace
 
 class GoldenValues : public testing::TestWithParam<Golden>
