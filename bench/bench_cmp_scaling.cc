@@ -20,14 +20,22 @@ using namespace bsim;
 namespace
 {
 
-double
-gain(const std::vector<std::string> &wls, std::uint64_t instr)
+/** Exec time of the @p mix under @p m. */
+std::uint64_t
+execCycles(const std::string &mix, ctrl::Mechanism m, std::uint64_t instr)
 {
-    const auto base = sim::runCmpExperiment(
-        wls, ctrl::Mechanism::BkInOrder, instr);
-    const auto th =
-        sim::runCmpExperiment(wls, ctrl::Mechanism::BurstTH, instr);
-    return double(th.execCpuCycles) / double(base.execCpuCycles);
+    sim::ExperimentConfig cfg;
+    cfg.workload = mix;
+    cfg.mechanism = m;
+    cfg.instructions = instr;
+    return sim::runExperiment(cfg).execCpuCycles;
+}
+
+double
+gain(const std::string &mix, std::uint64_t instr)
+{
+    return double(execCycles(mix, ctrl::Mechanism::BurstTH, instr)) /
+           double(execCycles(mix, ctrl::Mechanism::BkInOrder, instr));
 }
 
 } // namespace
@@ -48,27 +56,26 @@ main()
     struct Row
     {
         const char *name;
-        std::vector<std::string> wls;
+        const char *mix; //!< one profile per core, '+'-joined
     };
     const std::vector<Row> rows = {
         // Light, latency-bound workload: the Section 6 regime — more
         // cores give the controller more outstanding accesses to
         // reorder, so the gain grows.
-        {"1 core: perlbmk", {"perlbmk"}},
-        {"2 cores: perlbmk x2", {"perlbmk", "perlbmk"}},
-        {"4 cores: perlbmk x4",
-         {"perlbmk", "perlbmk", "perlbmk", "perlbmk"}},
+        {"1 core: perlbmk", "perlbmk"},
+        {"2 cores: perlbmk x2", "perlbmk+perlbmk"},
+        {"4 cores: perlbmk x4", "perlbmk+perlbmk+perlbmk+perlbmk"},
         // Bandwidth-saturating workload: both policies approach the pin
         // bandwidth ceiling, so the relative gain compresses.
-        {"1 core: swim", {"swim"}},
-        {"2 cores: swim x2", {"swim", "swim"}},
-        {"4 cores: swim x4", {"swim", "swim", "swim", "swim"}},
+        {"1 core: swim", "swim"},
+        {"2 cores: swim x2", "swim+swim"},
+        {"4 cores: swim x4", "swim+swim+swim+swim"},
         // Heterogeneous mix.
-        {"2 cores: swim+mcf", {"swim", "mcf"}},
-        {"4 cores: swim+mcf+gcc+art", {"swim", "mcf", "gcc", "art"}},
+        {"2 cores: swim+mcf", "swim+mcf"},
+        {"4 cores: swim+mcf+gcc+art", "swim+mcf+gcc+art"},
     };
     for (const auto &row : rows) {
-        const double norm = gain(row.wls, instr);
+        const double norm = gain(row.mix, instr);
         t.row({row.name, Table::num(norm, 3),
                Table::pct(1.0 - norm)});
         std::fprintf(stderr, "  %s done\n", row.name);

@@ -27,22 +27,18 @@ main(int argc, char **argv)
                  "controller\n("
               << instr << " instructions per core)\n\n";
 
-    const std::vector<std::vector<std::string>> configs = {
-        {"swim"},
-        {"swim", "mcf"},
-        {"swim", "mcf", "gcc", "art"},
-    };
-
-    for (const auto &wls : configs) {
+    // One profile per core, '+'-joined.
+    for (const char *mix : {"swim", "swim+mcf", "swim+mcf+gcc+art"}) {
         Table t;
-        std::string name;
-        for (const auto &w : wls)
-            name += (name.empty() ? "" : "+") + w;
-        t.header({name, "exec cycles", "data bus", "GB/s", "WQ sat",
+        t.header({mix, "exec cycles", "data bus", "GB/s", "WQ sat",
                   "per-core finish"});
         for (ctrl::Mechanism m :
              {ctrl::Mechanism::BkInOrder, ctrl::Mechanism::BurstTH}) {
-            const auto r = sim::runCmpExperiment(wls, m, instr);
+            sim::ExperimentConfig cfg;
+            cfg.workload = mix;
+            cfg.mechanism = m;
+            cfg.instructions = instr;
+            const sim::RunResult r = sim::runExperiment(cfg);
             std::string percore;
             for (auto c : r.perCoreCpuCycles)
                 percore += (percore.empty() ? "" : " / ") +

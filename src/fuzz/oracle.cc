@@ -93,12 +93,14 @@ runOne(const FuzzPoint &p, const OracleOptions &opt,
  * same-row runs: exactly the workloads for which the paper's Figure 10
  * ordering (Burst at least matches BkInOrder) must hold. Pointer-chase
  * or latency-bound profiles are excluded — with MLP 1 there is nothing
- * to reorder and the comparison is noise.
+ * to reorder and the comparison is noise — and so are CMP mixes, whose
+ * interleaved streams are no single profile's miss stream.
  */
 bool
 rowHitHeavy(const FuzzPoint &p)
 {
-    if (p.workload == kInlineTraceWorkload)
+    if (p.workload == kInlineTraceWorkload ||
+        sim::mixWorkloads(p.workload).size() > 1)
         return false;
     const trace::WorkloadProfile &prof =
         trace::profileByName(p.workload);

@@ -141,8 +141,28 @@ defaultInstructions()
     return 150'000;
 }
 
-RunResult
-runExperiment(const ExperimentConfig &cfg)
+std::vector<std::string>
+mixWorkloads(const std::string &workload)
+{
+    if (!workload.empty() && workload[0] == '@')
+        return {workload};
+    std::vector<std::string> out;
+    std::size_t from = 0;
+    for (;;) {
+        const std::size_t plus = workload.find('+', from);
+        out.push_back(workload.substr(from, plus - from));
+        if (plus == std::string::npos)
+            return out;
+        from = plus + 1;
+    }
+}
+
+namespace
+{
+
+/** The machine @p cfg describes (Table 3 baseline plus overrides). */
+SystemConfig
+systemConfigFor(const ExperimentConfig &cfg)
 {
     SystemConfig sys_cfg = SystemConfig::baseline();
     sys_cfg.ctrl.mechanism = cfg.mechanism;
@@ -205,34 +225,52 @@ runExperiment(const ExperimentConfig &cfg)
     sys_cfg.ctrl.schedulerFactory = cfg.schedulerFactory;
     sys_cfg.watchdogCycles = cfg.watchdogCycles;
     sys_cfg.deadlineSec = cfg.deadlineSec;
+    return sys_cfg;
+}
 
+/**
+ * Run @p cfg's mix with core i's profile displaced by shifts[i]
+ * address regions and seeded cfg.seed + shifts[i]. The shift — not the
+ * core index — selects region and seed, so a core's alone baseline
+ * replays exactly the address stream it had in the shared mix.
+ */
+RunResult
+simulate(const ExperimentConfig &cfg, const std::vector<std::size_t> &shifts)
+{
+    const SystemConfig sys_cfg = systemConfigFor(cfg);
+    const std::vector<std::string> workloads = mixWorkloads(cfg.workload);
     std::uint64_t instructions =
         cfg.instructions ? cfg.instructions : defaultInstructions();
 
     // "@/path" workloads replay a text trace from disk; anything else
-    // is a synthetic profile. File traces run cold (no prewarm) and at
-    // their recorded length.
+    // is a synthetic profile per core. File traces run cold (no
+    // prewarm) and at their recorded length.
     std::unique_ptr<trace::VectorTrace> file_trace;
-    std::unique_ptr<trace::SyntheticGenerator> gen;
-    trace::TraceSource *src = nullptr;
-    if (!cfg.workload.empty() && cfg.workload[0] == '@') {
-        file_trace = trace::loadTraceFile(cfg.workload.substr(1));
+    std::vector<std::unique_ptr<trace::SyntheticGenerator>> gens;
+    std::vector<trace::TraceSource *> sources;
+    if (workloads[0][0] == '@') {
+        file_trace = trace::loadTraceFile(workloads[0].substr(1));
         instructions = file_trace->size();
-        src = file_trace.get();
+        sources.push_back(file_trace.get());
     } else {
-        const trace::WorkloadProfile &prof =
-            trace::profileByName(cfg.workload);
-        gen = std::make_unique<trace::SyntheticGenerator>(
-            prof, instructions, cfg.seed);
-        src = gen.get();
+        for (std::size_t i = 0; i < workloads.size(); ++i) {
+            trace::WorkloadProfile prof =
+                trace::profileByName(workloads[i]);
+            prof.regionBase +=
+                Addr(shifts[i]) * (prof.footprintBytes + (64ULL << 20));
+            gens.push_back(std::make_unique<trace::SyntheticGenerator>(
+                prof, instructions, cfg.seed + shifts[i]));
+            sources.push_back(gens.back().get());
+        }
     }
 
-    System sys(sys_cfg, *src);
-    if (gen)
-        prewarmCaches(sys.caches(), *gen, cfg.seed);
-    // Safety net: no run should need more than ~10k memory cycles per
-    // thousand instructions; a hang here is a simulator bug.
-    const Tick cap = instructions * 100 + 10'000'000;
+    System sys(sys_cfg, sources);
+    for (std::size_t i = 0; i < gens.size(); ++i)
+        prewarmCaches(sys.caches(std::uint32_t(i)), *gens[i],
+                      cfg.seed + shifts[i]);
+    // Safety net: no run should need more than ~20k memory cycles per
+    // thousand instructions per core; a hang here is a simulator bug.
+    const Tick cap = instructions * 200 * sources.size() + 10'000'000;
     SelfProfGuard prof_guard(cfg.obs.selfProf);
     sys.run(cap);
     if (!sys.done())
@@ -255,21 +293,27 @@ runExperiment(const ExperimentConfig &cfg)
     r.instructions = instructions;
     r.execCpuCycles = sys.execCpuCycles();
     r.memCycles = sys.memCycles();
+    for (std::uint32_t i = 0; i < sys.numCores(); ++i) {
+        const std::uint64_t cycles = sys.coreExecCpuCycles(i);
+        r.perCoreCpuCycles.push_back(cycles);
+        r.perCoreIpc.push_back(
+            cycles ? double(instructions) / double(cycles) : 0.0);
+        r.l2Misses += sys.caches(i).l2().misses();
+        r.memReads += sys.caches(i).memReads();
+        r.memWrites += sys.caches(i).memWrites();
+    }
     r.ctrl = sys.controller().stats();
     r.sched = sys.controller().schedulerStats();
     r.addrBusUtil = sys.mem().addressBusUtilization(sys.memCycles());
     r.dataBusUtil = sys.mem().dataBusUtilization(sys.memCycles());
-    r.ipc = r.execCpuCycles
-                ? double(instructions) / double(r.execCpuCycles)
-                : 0.0;
+    r.ipc = r.execCpuCycles ? double(instructions * sources.size()) /
+                                  double(r.execCpuCycles)
+                            : 0.0;
     // Effective bandwidth: transferred bytes over the execution interval.
     const double seconds =
         double(r.memCycles) / (sys_cfg.busMHz * 1e6);
     r.bandwidthGBs =
         seconds > 0 ? double(r.ctrl.bytesTransferred) / seconds / 1e9 : 0.0;
-    r.l2Misses = sys.caches().l2().misses();
-    r.memReads = sys.caches().memReads();
-    r.memWrites = sys.caches().memWrites();
     r.dramCommands = sys.mem().commandCounts();
     const double clock_ns = 1e3 / sys_cfg.busMHz;
     r.energy = dram::estimateEnergy(r.dramCommands, r.memCycles,
@@ -280,93 +324,33 @@ runExperiment(const ExperimentConfig &cfg)
     return r;
 }
 
-CmpResult
-runCmpShifted(const CmpConfig &cfg, const std::vector<std::size_t> &shifts)
+} // namespace
+
+RunResult
+runExperiment(const ExperimentConfig &cfg)
 {
-    if (shifts.size() != cfg.workloads.size())
-        throwSimError(ErrorCategory::Config,
-                      "CMP experiment: %zu workloads but %zu region shifts",
-                      cfg.workloads.size(), shifts.size());
-
-    SystemConfig sys_cfg = SystemConfig::baseline();
-    sys_cfg.ctrl.mechanism = cfg.mechanism;
-    sys_cfg.ctrl.threshold = cfg.threshold;
-    sys_cfg.ctrl.watermarkDrain = cfg.watermarkDrain;
-    sys_cfg.engine = cfg.engine;
-
-    const std::uint64_t instr =
-        cfg.instructions ? cfg.instructions : defaultInstructions();
-
-    // Build one generator per core on a disjoint address region. The
-    // shift index — not the core index — selects region and seed, so a
-    // core's alone baseline replays exactly the address stream it had
-    // in the shared mix.
-    std::vector<std::unique_ptr<trace::SyntheticGenerator>> gens;
-    std::vector<trace::TraceSource *> sources;
-    for (std::size_t i = 0; i < cfg.workloads.size(); ++i) {
-        trace::WorkloadProfile prof =
-            trace::profileByName(cfg.workloads[i]);
-        prof.regionBase +=
-            Addr(shifts[i]) * (prof.footprintBytes + (64ULL << 20));
-        gens.push_back(std::make_unique<trace::SyntheticGenerator>(
-            prof, instr, 20070212 + shifts[i]));
-        sources.push_back(gens.back().get());
-    }
-
-    System sys(sys_cfg, sources);
-    for (std::uint32_t i = 0; i < sys.numCores(); ++i)
-        prewarmCaches(sys.caches(i), *gens[i], 20070212 + shifts[i]);
-
-    const Tick cap = instr * 200 * cfg.workloads.size() + 10'000'000;
-    sys.run(cap);
-    if (!sys.done())
-        throwSimError(ErrorCategory::Internal,
-                      "CMP experiment (%zu cores, %s) did not drain",
-                      cfg.workloads.size(),
-                      ctrl::mechanismName(cfg.mechanism));
-
-    CmpResult r;
-    r.workloads = cfg.workloads;
-    r.mechanism = cfg.mechanism;
-    r.instructions = instr;
-    r.execCpuCycles = sys.execCpuCycles();
-    for (std::uint32_t i = 0; i < sys.numCores(); ++i) {
-        const std::uint64_t cycles = sys.coreExecCpuCycles(i);
-        r.perCoreCpuCycles.push_back(cycles);
-        r.perCoreIpc.push_back(
-            cycles ? double(instr) / double(cycles) : 0.0);
-    }
-    r.ctrl = sys.controller().stats();
-    r.dataBusUtil = sys.mem().dataBusUtilization(sys.memCycles());
-    const double seconds =
-        double(sys.memCycles()) / (sys_cfg.busMHz * 1e6);
-    r.bandwidthGBs = seconds > 0
-                         ? double(r.ctrl.bytesTransferred) / seconds / 1e9
-                         : 0.0;
-    return r;
-}
-
-CmpResult
-runCmpExperiment(const CmpConfig &cfg)
-{
-    std::vector<std::size_t> shifts(cfg.workloads.size());
+    const std::vector<std::string> workloads = mixWorkloads(cfg.workload);
+    std::vector<std::size_t> shifts(workloads.size());
     for (std::size_t i = 0; i < shifts.size(); ++i)
         shifts[i] = i;
-    return runCmpShifted(cfg, shifts);
-}
+    RunResult r = simulate(cfg, shifts);
+    if (!cfg.fairness)
+        return r;
 
-CmpResult
-runCmpExperiment(const std::vector<std::string> &workloads,
-                 ctrl::Mechanism mechanism, std::uint64_t instructions,
-                 std::size_t threshold, EngineKind engine)
-{
-    CmpConfig cfg;
-    cfg.workloads = workloads;
-    cfg.mechanism = mechanism;
-    cfg.instructions = instructions;
-    cfg.threshold = threshold;
-    cfg.engine = engine;
-    return runCmpExperiment(cfg);
+    // Alone baselines: each core by itself on the machine, with the
+    // address-region shift and seed it had in the mix, under the same
+    // mechanism and policy axes. The pillars observe the shared run
+    // only.
+    std::vector<double> alone_ipc;
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+        ExperimentConfig alone = cfg;
+        alone.workload = workloads[i];
+        alone.obs = obs::ObsConfig{};
+        alone.fairness = false;
+        alone_ipc.push_back(simulate(alone, {i}).perCoreIpc.at(0));
+    }
+    r.fairness = computeFairness(r.perCoreIpc, alone_ipc);
+    return r;
 }
 
 FairnessMetrics
@@ -393,27 +377,6 @@ computeFairness(const std::vector<double> &ipcShared,
                             ? double(ipcShared.size()) / slowdown_sum
                             : 0.0;
     return m;
-}
-
-CmpResult
-runCmpFairness(const CmpConfig &cfg)
-{
-    CmpResult shared = runCmpExperiment(cfg);
-
-    // Alone baselines: the same core alone on the machine, with the
-    // address-region shift and seed it had in the mix, under the same
-    // mechanism and policy axes.
-    std::vector<double> alone_ipc;
-    for (std::size_t i = 0; i < cfg.workloads.size(); ++i) {
-        CmpConfig alone = cfg;
-        alone.workloads = {cfg.workloads[i]};
-        const CmpResult r = runCmpShifted(alone, {i});
-        alone_ipc.push_back(r.perCoreIpc.at(0));
-    }
-
-    shared.fairness = computeFairness(shared.perCoreIpc, alone_ipc);
-    shared.haveFairness = true;
-    return shared;
 }
 
 std::vector<RunResult>

@@ -12,6 +12,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,14 +64,23 @@ const char *timingVariantName(TimingVariant v);
 /** Parse a variant token; throws SimError(Config) on unknown names. */
 TimingVariant timingVariantByName(const std::string &name);
 
-/** One simulation run specification. */
+/**
+ * One simulation run specification. A run is a machine of one or more
+ * cores sharing the memory controller (paper Section 6); single-core is
+ * simply the 1-core case.
+ */
 struct ExperimentConfig
 {
-    /** Profile name (spec_profiles), or "@/path/to/file" to replay a
-     *  text trace from disk (no cache prewarm; see trace_file.hh). */
+    /**
+     * Profile name (spec_profiles), one per core joined by '+' for a
+     * CMP mix ("mcf+swim"), or "@/path/to/file" to replay one text
+     * trace from disk (no cache prewarm; see trace_file.hh). A trace
+     * path is never split. Core i of a mix runs its profile shifted to
+     * the i-th disjoint address region with seed `seed + i`.
+     */
     std::string workload = "swim";
     ctrl::Mechanism mechanism = ctrl::Mechanism::BkInOrder;
-    std::uint64_t instructions = 0; //!< 0 = defaultInstructions()
+    std::uint64_t instructions = 0; //!< per core; 0 = defaultInstructions()
     std::uint64_t seed = 20070212;  //!< HPCA 2007, for determinism
     std::size_t threshold = 52;     //!< Burst_TH threshold
     dram::PagePolicy pagePolicy = dram::PagePolicy::OpenPage;
@@ -109,6 +119,10 @@ struct ExperimentConfig
     /** Observability pillars (latency breakdown, metrics, trace). */
     obs::ObsConfig obs;
 
+    /** Also run each core alone on its own region and seed, and report
+     *  CMP fairness (RunResult::fairness). */
+    bool fairness = false;
+
     /** Forward-progress watchdog (SystemConfig::watchdogCycles). */
     Tick watchdogCycles = 50'000;
     /** Wall-clock limit in seconds, 0 = none (SystemConfig::deadlineSec). */
@@ -127,53 +141,6 @@ struct ExperimentConfig
      */
     std::string schedulerFactoryId;
 };
-
-/** Metrics of one run (the quantities behind Figures 7-12). */
-struct RunResult
-{
-    std::string workload;
-    ctrl::Mechanism mechanism = ctrl::Mechanism::BkInOrder;
-
-    std::uint64_t instructions = 0;
-    std::uint64_t execCpuCycles = 0; //!< the paper's execution time
-    std::uint64_t memCycles = 0;
-
-    ctrl::ControllerStats ctrl; //!< latencies, rates, histograms
-    std::map<std::string, double> sched; //!< policy extras
-
-    double addrBusUtil = 0.0;
-    double dataBusUtil = 0.0;
-    double bandwidthGBs = 0.0; //!< effective bandwidth
-    double ipc = 0.0;
-
-    std::uint64_t l2Misses = 0;
-    std::uint64_t memReads = 0;
-    std::uint64_t memWrites = 0;
-
-    /** DRAM energy estimate over the run (extension; see dram/power.hh). */
-    dram::EnergyBreakdown energy;
-    double avgPowerW = 0.0;
-    dram::CommandCounts dramCommands;
-
-    /** Observability data collected during the run; null when all
-     *  pillars were off. Shared so RunResult stays copyable. */
-    std::shared_ptr<obs::Observability> obs;
-
-    /** Host-side self-profile of the run (ObsConfig::selfProf); null
-     *  when off. Host wall time — never part of the result JSON. */
-    std::shared_ptr<obs::prof::SelfProfile> selfprof;
-};
-
-/**
- * Default instruction count per run: 150,000, overridable through the
- * BURSTSIM_INSTR environment variable (the benches print which value was
- * used). Scaled down from the paper's 2 billion so the full figure suite
- * reproduces in minutes.
- */
-std::uint64_t defaultInstructions();
-
-/** Run one experiment. */
-RunResult runExperiment(const ExperimentConfig &cfg);
 
 /**
  * CMP fairness metrics (Section 6 extension): per-core slowdown against
@@ -194,70 +161,73 @@ struct FairnessMetrics
     double harmonicSpeedup = 0.0;
 };
 
+/** Metrics of one run (the quantities behind Figures 7-12). */
+struct RunResult
+{
+    std::string workload;
+    ctrl::Mechanism mechanism = ctrl::Mechanism::BkInOrder;
+
+    std::uint64_t instructions = 0;  //!< per core
+    std::uint64_t execCpuCycles = 0; //!< the paper's execution time
+    std::uint64_t memCycles = 0;
+    /** Completion CPU cycle and IPC of each core, in mix order. */
+    std::vector<std::uint64_t> perCoreCpuCycles;
+    std::vector<double> perCoreIpc;
+
+    ctrl::ControllerStats ctrl; //!< latencies, rates, histograms
+    std::map<std::string, double> sched; //!< policy extras
+
+    double addrBusUtil = 0.0;
+    double dataBusUtil = 0.0;
+    double bandwidthGBs = 0.0; //!< effective bandwidth
+    double ipc = 0.0; //!< all cores' instructions over execCpuCycles
+
+    /** Summed over the cores' private hierarchies. */
+    std::uint64_t l2Misses = 0;
+    std::uint64_t memReads = 0;
+    std::uint64_t memWrites = 0;
+
+    /** DRAM energy estimate over the run (extension; see dram/power.hh). */
+    dram::EnergyBreakdown energy;
+    double avgPowerW = 0.0;
+    dram::CommandCounts dramCommands;
+
+    /** Observability data collected during the run; null when all
+     *  pillars were off. Shared so RunResult stays copyable. */
+    std::shared_ptr<obs::Observability> obs;
+
+    /** Host-side self-profile of the run (ObsConfig::selfProf); null
+     *  when off. Host wall time — never part of the result JSON. */
+    std::shared_ptr<obs::prof::SelfProfile> selfprof;
+
+    /** Set when ExperimentConfig::fairness was. */
+    std::optional<FairnessMetrics> fairness;
+};
+
+/**
+ * Default instruction count per run: 150,000, overridable through the
+ * BURSTSIM_INSTR environment variable (the benches print which value was
+ * used). Scaled down from the paper's 2 billion so the full figure suite
+ * reproduces in minutes.
+ */
+std::uint64_t defaultInstructions();
+
+/**
+ * Per-core profiles of a workload string: the '+'-separated mix, or
+ * the workload itself for a "@path" trace.
+ */
+std::vector<std::string> mixWorkloads(const std::string &workload);
+
+/**
+ * Run one experiment. With ExperimentConfig::fairness the shared run
+ * is followed by one alone run per core (same mechanism, region and
+ * seed, the core by itself on the machine).
+ */
+RunResult runExperiment(const ExperimentConfig &cfg);
+
 /** Compute the aggregates from shared and alone per-core IPCs. */
 FairnessMetrics computeFairness(const std::vector<double> &ipcShared,
                                 const std::vector<double> &ipcAlone);
-
-/** One CMP run specification (the keyword form of runCmpExperiment). */
-struct CmpConfig
-{
-    std::vector<std::string> workloads; //!< one per core
-    ctrl::Mechanism mechanism = ctrl::Mechanism::BkInOrder;
-    std::uint64_t instructions = 0; //!< per core; 0 = default
-    std::size_t threshold = 52;
-    EngineKind engine = EngineKind::Skip;
-    /** Watermark write-drain policy axis (contention families). */
-    bool watermarkDrain = false;
-};
-
-/** Result of a chip-multiprocessor run (paper Section 6). */
-struct CmpResult
-{
-    std::vector<std::string> workloads; //!< one per core
-    ctrl::Mechanism mechanism = ctrl::Mechanism::BkInOrder;
-    std::uint64_t instructions = 0;  //!< per core
-    std::uint64_t execCpuCycles = 0; //!< last core's completion
-    std::vector<std::uint64_t> perCoreCpuCycles;
-    std::vector<double> perCoreIpc; //!< shared-run IPC per core
-    ctrl::ControllerStats ctrl;
-    double dataBusUtil = 0.0;
-    double bandwidthGBs = 0.0;
-    /** Filled by runCmpFairness() only. */
-    bool haveFairness = false;
-    FairnessMetrics fairness;
-};
-
-/**
- * Run a CMP experiment: one private cache stack per workload, all cores
- * sharing the memory controller. Each core's copy of a workload is
- * shifted to a disjoint address region and seeded differently.
- */
-CmpResult runCmpExperiment(const CmpConfig &cfg);
-
-/** Positional-argument compatibility shim for the config form above. */
-CmpResult runCmpExperiment(const std::vector<std::string> &workloads,
-                           ctrl::Mechanism mechanism,
-                           std::uint64_t instructions = 0,
-                           std::size_t threshold = 52,
-                           EngineKind engine = EngineKind::Skip);
-
-/**
- * Run @p cfg with explicit per-core address-region shift indices (core
- * i's workload is displaced by shifts[i] regions and seeded
- * 20070212 + shifts[i]). The fairness layer uses this to run a core's
- * alone baseline on exactly the address region and seed it had in the
- * shared mix — a 1-core "mix" is then its own baseline and every
- * slowdown is exactly 1.
- */
-CmpResult runCmpShifted(const CmpConfig &cfg,
-                        const std::vector<std::size_t> &shifts);
-
-/**
- * Run the shared mix, then each core's alone baseline (same mechanism,
- * shift and seed), and fill CmpResult::fairness from the per-core IPC
- * ratios.
- */
-CmpResult runCmpFairness(const CmpConfig &cfg);
 
 /**
  * Run @p workload under every mechanism in @p mechanisms, @p jobs runs

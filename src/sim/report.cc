@@ -98,6 +98,56 @@ writeControllerStats(JsonWriter &w, const ctrl::ControllerStats &st)
     w.key("outstanding_writes_mean").value(st.outstandingWrites.mean());
 }
 
+void
+writeFairnessJson(JsonWriter &w, const FairnessMetrics &f)
+{
+    w.key("fairness").beginObject();
+    w.key("per_core_ipc_alone").beginArray();
+    for (double v : f.perCoreIpcAlone)
+        w.value(v);
+    w.endArray();
+    w.key("per_core_slowdown").beginArray();
+    for (double v : f.perCoreSlowdown)
+        w.value(v);
+    w.endArray();
+    w.key("max_slowdown").value(f.maxSlowdown);
+    w.key("weighted_speedup").value(f.weightedSpeedup);
+    w.key("harmonic_speedup").value(f.harmonicSpeedup);
+    w.endObject();
+}
+
+/** Per-core table of a CMP mix (with the alone baselines when the
+ *  fairness metrics were computed) and the fairness aggregates. */
+void
+writePerCoreText(std::ostream &os, const RunResult &r)
+{
+    const std::vector<std::string> workloads = mixWorkloads(r.workload);
+    const FairnessMetrics *f = r.fairness ? &*r.fairness : nullptr;
+    Table t;
+    if (f)
+        t.header({"core", "workload", "cpu cycles", "IPC", "IPC alone",
+                  "slowdown"});
+    else
+        t.header({"core", "workload", "cpu cycles", "IPC"});
+    for (std::size_t i = 0; i < r.perCoreCpuCycles.size(); ++i) {
+        std::vector<std::string> row = {
+            std::to_string(i), workloads.at(i),
+            std::to_string(r.perCoreCpuCycles[i]),
+            Table::num(r.perCoreIpc.at(i), 3)};
+        if (f) {
+            row.push_back(Table::num(f->perCoreIpcAlone.at(i), 3));
+            row.push_back(Table::num(f->perCoreSlowdown.at(i), 3));
+        }
+        t.row(row);
+    }
+    t.print(os);
+    if (f)
+        os << "fairness: max slowdown " << Table::num(f->maxSlowdown, 3)
+           << ", weighted speedup " << Table::num(f->weightedSpeedup, 3)
+           << ", harmonic speedup " << Table::num(f->harmonicSpeedup, 3)
+           << '\n';
+}
+
 } // namespace
 
 void
@@ -105,10 +155,27 @@ writeResultJson(std::ostream &os, const RunResult &r)
 {
     JsonWriter w(os);
     w.beginObject();
+    const bool cmp = r.perCoreCpuCycles.size() > 1;
     w.key("workload").value(r.workload);
+    if (cmp) {
+        w.key("workloads").beginArray();
+        for (const std::string &wl : mixWorkloads(r.workload))
+            w.value(wl);
+        w.endArray();
+    }
     w.key("mechanism").value(ctrl::mechanismName(r.mechanism));
     w.key("instructions").value(r.instructions);
     w.key("exec_cpu_cycles").value(r.execCpuCycles);
+    if (cmp) {
+        w.key("per_core_cpu_cycles").beginArray();
+        for (std::uint64_t c : r.perCoreCpuCycles)
+            w.value(c);
+        w.endArray();
+        w.key("per_core_ipc").beginArray();
+        for (double v : r.perCoreIpc)
+            w.value(v);
+        w.endArray();
+    }
     w.key("mem_cycles").value(r.memCycles);
     w.key("ipc").value(r.ipc);
     w.key("addr_bus_utilization").value(r.addrBusUtil);
@@ -133,6 +200,8 @@ writeResultJson(std::ostream &os, const RunResult &r)
     w.key("background_joules").value(r.energy.background);
     w.key("average_watts").value(r.avgPowerW);
     w.endObject();
+    if (r.fairness)
+        writeFairnessJson(w, *r.fairness);
     if (r.obs && r.obs->latency())
         writeLatencyBreakdownJson(w, *r.obs->latency());
     if (r.obs && r.obs->stalls())
@@ -154,104 +223,12 @@ writeResultJson(std::ostream &os, const RunResult &r)
 }
 
 void
-writeCmpResultJson(std::ostream &os, const CmpResult &r)
-{
-    JsonWriter w(os);
-    w.beginObject();
-    w.key("mechanism").value(ctrl::mechanismName(r.mechanism));
-    w.key("workloads").beginArray();
-    for (const auto &wl : r.workloads)
-        w.value(wl);
-    w.endArray();
-    w.key("instructions").value(r.instructions);
-    w.key("exec_cpu_cycles").value(r.execCpuCycles);
-    w.key("per_core_cpu_cycles").beginArray();
-    for (auto c : r.perCoreCpuCycles)
-        w.value(c);
-    w.endArray();
-    w.key("per_core_ipc").beginArray();
-    for (double v : r.perCoreIpc)
-        w.value(v);
-    w.endArray();
-    w.key("data_bus_utilization").value(r.dataBusUtil);
-    w.key("bandwidth_gbs").value(r.bandwidthGBs);
-    w.key("controller").beginObject();
-    writeControllerStats(w, r.ctrl);
-    w.endObject();
-    if (r.haveFairness) {
-        const FairnessMetrics &f = r.fairness;
-        w.key("fairness").beginObject();
-        w.key("per_core_ipc_alone").beginArray();
-        for (double v : f.perCoreIpcAlone)
-            w.value(v);
-        w.endArray();
-        w.key("per_core_slowdown").beginArray();
-        for (double v : f.perCoreSlowdown)
-            w.value(v);
-        w.endArray();
-        w.key("max_slowdown").value(f.maxSlowdown);
-        w.key("weighted_speedup").value(f.weightedSpeedup);
-        w.key("harmonic_speedup").value(f.harmonicSpeedup);
-        w.endObject();
-    }
-    w.endObject();
-    os << '\n';
-}
-
-void
-writeCmpResultText(std::ostream &os, const CmpResult &r)
-{
-    os << r.workloads.size() << "-core CMP, mechanism "
-       << ctrl::mechanismName(r.mechanism) << ", " << r.instructions
-       << " instructions per core\n";
-    Table t;
-    if (r.haveFairness)
-        t.header({"core", "workload", "cpu cycles", "IPC", "IPC alone",
-                  "slowdown"});
-    else
-        t.header({"core", "workload", "cpu cycles", "IPC"});
-    for (std::size_t i = 0; i < r.workloads.size(); ++i) {
-        std::vector<std::string> row = {
-            std::to_string(i), r.workloads[i],
-            i < r.perCoreCpuCycles.size()
-                ? std::to_string(r.perCoreCpuCycles[i])
-                : "-",
-            i < r.perCoreIpc.size() ? Table::num(r.perCoreIpc[i], 3)
-                                    : "-"};
-        if (r.haveFairness) {
-            row.push_back(
-                i < r.fairness.perCoreIpcAlone.size()
-                    ? Table::num(r.fairness.perCoreIpcAlone[i], 3)
-                    : "-");
-            row.push_back(
-                i < r.fairness.perCoreSlowdown.size()
-                    ? Table::num(r.fairness.perCoreSlowdown[i], 3)
-                    : "-");
-        }
-        t.row(row);
-    }
-    t.print(os);
-
-    os << "execution time (CPU cycles): " << r.execCpuCycles << '\n'
-       << "effective bandwidth: " << Table::num(r.bandwidthGBs, 2)
-       << " GB/s, data bus utilization " << Table::pct(r.dataBusUtil)
-       << '\n';
-    if (r.haveFairness) {
-        os << "fairness: max slowdown "
-           << Table::num(r.fairness.maxSlowdown, 3)
-           << ", weighted speedup "
-           << Table::num(r.fairness.weightedSpeedup, 3)
-           << ", harmonic speedup "
-           << Table::num(r.fairness.harmonicSpeedup, 3) << '\n';
-    }
-}
-
-void
 writeResultText(std::ostream &os, const RunResult &r)
 {
     os << "workload " << r.workload << ", mechanism "
        << ctrl::mechanismName(r.mechanism) << ", " << r.instructions
-       << " instructions\n";
+       << " instructions"
+       << (r.perCoreCpuCycles.size() > 1 ? " per core\n" : "\n");
     Table t;
     t.header({"metric", "value"});
     t.row({"execution time (CPU cycles)",
@@ -278,6 +255,11 @@ writeResultText(std::ostream &os, const RunResult &r)
     for (const auto &[k, v] : r.sched)
         t.row({"scheduler: " + k, Table::num(v, 0)});
     t.print(os);
+
+    if (r.perCoreCpuCycles.size() > 1 || r.fairness) {
+        os << '\n';
+        writePerCoreText(os, r);
+    }
 
     if (r.obs && r.obs->latency()) {
         const obs::LatencyBreakdown &lat = *r.obs->latency();

@@ -1,8 +1,10 @@
 /**
  * @file
- * Result reporting: render RunResult / CmpResult as JSON (machine
- * readable) or as a human-readable text summary. Shared by the CLI tool
- * and available to library users.
+ * Result reporting: render a RunResult as JSON (machine readable) or as
+ * a human-readable text summary. Shared by the CLI tool and available
+ * to library users. Per-core sections appear only for CMP mixes and
+ * the fairness section only when it was computed, so a single-core
+ * report is the same whether or not the run could have been a mix.
  */
 
 #ifndef BURSTSIM_SIM_REPORT_HH
@@ -18,15 +20,8 @@ namespace bsim::sim
 /** Emit @p r as a JSON object (pretty-printed). */
 void writeResultJson(std::ostream &os, const RunResult &r);
 
-/** Emit @p r as a JSON object (pretty-printed). */
-void writeCmpResultJson(std::ostream &os, const CmpResult &r);
-
 /** Emit a human-readable one-run summary. */
 void writeResultText(std::ostream &os, const RunResult &r);
-
-/** Emit a human-readable CMP-run summary (per-core table; fairness
- *  metrics when CmpResult::haveFairness is set). */
-void writeCmpResultText(std::ostream &os, const CmpResult &r);
 
 } // namespace bsim::sim
 

@@ -523,6 +523,8 @@ canonicalConfig(const ExperimentConfig &cfg)
     // token (and thereby a distinct key).
     if (cfg.watermarkDrain)
         os << "|wd";
+    if (cfg.fairness)
+        os << "|fair";
     std::string s = os.str();
     for (char &c : s)
         if (c == '"' || c == '\n' || c == '\r')
@@ -545,6 +547,12 @@ summarize(const RunResult &r)
     s.writeLatMean = r.ctrl.writeLatency.mean();
     s.rowHitRate = r.ctrl.rowHitRate();
     s.bandwidthGBs = r.bandwidthGBs;
+    if (r.fairness) {
+        s.weightedSpeedup = r.fairness->weightedSpeedup;
+        s.harmonicSpeedup = r.fairness->harmonicSpeedup;
+        s.maxSlowdown = r.fairness->maxSlowdown;
+        s.perCoreSlowdown = r.fairness->perCoreSlowdown;
+    }
     return s;
 }
 
@@ -571,7 +579,7 @@ SweepReport::journaled() const
 namespace
 {
 
-/** Parse a v2/v3 record *payload* ("P <key> attempts=..."). */
+/** Parse a record *payload* ("P <key> attempts=..."). */
 bool
 parsePointPayload(const std::string &payload, std::uint64_t &key,
                   JournalRecord &rec)
@@ -579,12 +587,13 @@ parsePointPayload(const std::string &payload, std::uint64_t &key,
     unsigned attempts = 0;
     unsigned long long exec = 0;
     double rdlat = 0, wrlat = 0, rowhit = 0, bw = 0;
+    int at = 0;
     // %la parses C99 hexfloats (and any other strtod-able form).
     const int n = std::sscanf(
         payload.c_str(),
         "P %" SCNx64 " attempts=%u exec=%llu rdlat=%la wrlat=%la "
-        "rowhit=%la bw=%la",
-        &key, &attempts, &exec, &rdlat, &wrlat, &rowhit, &bw);
+        "rowhit=%la bw=%la%n",
+        &key, &attempts, &exec, &rdlat, &wrlat, &rowhit, &bw, &at);
     if (n != 7)
         return false;
     rec.attempts = attempts;
@@ -593,12 +602,59 @@ parsePointPayload(const std::string &payload, std::uint64_t &key,
     rec.summary.writeLatMean = wrlat;
     rec.summary.rowHitRate = rowhit;
     rec.summary.bandwidthGBs = bw;
+    // Optional fairness tokens: the aggregates, then sd0, sd1, ... in
+    // core order up to the config echo.
+    const char *p = payload.c_str() + at;
+    int used = 0;
+    if (std::sscanf(p, " ws=%la hs=%la maxsd=%la%n",
+                    &rec.summary.weightedSpeedup,
+                    &rec.summary.harmonicSpeedup,
+                    &rec.summary.maxSlowdown, &used) == 3) {
+        p += used;
+        unsigned idx = 0;
+        double sd = 0;
+        while (std::sscanf(p, " sd%u=%la%n", &idx, &sd, &used) == 2) {
+            if (idx != rec.summary.perCoreSlowdown.size())
+                return false;
+            rec.summary.perCoreSlowdown.push_back(sd);
+            p += used;
+        }
+        if (rec.summary.perCoreSlowdown.empty())
+            return false;
+    }
     // Optional config echo: cfg="..." through the payload's last quote.
     const std::size_t open = payload.find(" cfg=\"");
     const std::size_t close = payload.rfind('"');
     if (open != std::string::npos && close > open + 6)
         rec.configEcho = payload.substr(open + 6, close - (open + 6));
     return true;
+}
+
+/** The journal payload of one completed point (see sweep.hh). */
+std::string
+formatPointPayload(std::uint64_t key, unsigned attempts,
+                   const SweepSummary &s, const std::string &canon)
+{
+    char head[256];
+    std::snprintf(head, sizeof(head),
+                  "P %016" PRIx64
+                  " attempts=%u exec=%llu rdlat=%a wrlat=%a rowhit=%a "
+                  "bw=%a",
+                  key, attempts, (unsigned long long)s.execCpuCycles,
+                  s.readLatMean, s.writeLatMean, s.rowHitRate,
+                  s.bandwidthGBs);
+    std::string payload = head;
+    if (!s.perCoreSlowdown.empty()) {
+        std::snprintf(head, sizeof(head), " ws=%a hs=%a maxsd=%a",
+                      s.weightedSpeedup, s.harmonicSpeedup, s.maxSlowdown);
+        payload += head;
+        for (std::size_t i = 0; i < s.perCoreSlowdown.size(); ++i) {
+            std::snprintf(head, sizeof(head), " sd%zu=%a", i,
+                          s.perCoreSlowdown[i]);
+            payload += head;
+        }
+    }
+    return payload + " cfg=\"" + canon + '"';
 }
 
 /** Parse a v3 frame header "J3 <len> <crc> "; returns the payload
@@ -700,21 +756,6 @@ scanSweepJournal(const std::string &path)
                     scan.v3Records += 1;
                     scan.records[key] = std::move(rec);
                 }
-            }
-        } else if (line.rfind("P ", 0) == 0) {
-            // Bare v2 record: accepted, but with no integrity check
-            // beyond parseability.
-            std::uint64_t key = 0;
-            JournalRecord rec;
-            if (!terminated) {
-                fail(JournalIssue::Kind::TornTail,
-                     "record missing its trailing newline");
-            } else if (!parsePointPayload(line, key, rec)) {
-                fail(JournalIssue::Kind::Malformed,
-                     "unparseable legacy record");
-            } else {
-                scan.legacyRecords += 1;
-                scan.records[key] = std::move(rec);
             }
         } else {
             fail(JournalIssue::Kind::Malformed, "unrecognized line");
@@ -895,20 +936,8 @@ runExperimentSweep(const std::vector<ExperimentConfig> &points,
         if (progress && r.selfprof)
             progress->attachRollup(slot, r.selfprof);
         if (journal_os.isOpen()) {
-            char line[256];
-            std::snprintf(line, sizeof(line),
-                          "P %016" PRIx64
-                          " attempts=%u exec=%llu rdlat=%a wrlat=%a "
-                          "rowhit=%a bw=%a cfg=",
-                          keys[slot], attempt,
-                          (unsigned long long)
-                              rep.slots[slot].summary.execCpuCycles,
-                          rep.slots[slot].summary.readLatMean,
-                          rep.slots[slot].summary.writeLatMean,
-                          rep.slots[slot].summary.rowHitRate,
-                          rep.slots[slot].summary.bandwidthGBs);
-            const std::string payload =
-                std::string(line) + '"' + canon[slot] + '"';
+            const std::string payload = formatPointPayload(
+                keys[slot], attempt, rep.slots[slot].summary, canon[slot]);
             std::lock_guard<std::mutex> g(journal_mu);
             journal_os.append(payload); // one atomic framed write
         }
@@ -1002,6 +1031,48 @@ writeSweepTable(std::ostream &os,
         }
     }
     t.print(os);
+}
+
+void
+writeFairnessCsv(std::ostream &os,
+                 const std::vector<ExperimentConfig> &points,
+                 const SweepReport &rep)
+{
+    std::vector<std::size_t> cores(points.size());
+    std::size_t n_cores = 0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        cores[i] = mixWorkloads(points[i].workload).size();
+        n_cores = std::max(n_cores, cores[i]);
+    }
+
+    os << "mix,mechanism,cores,watermark_drain,status,exec_cycles,"
+          "weighted_speedup,harmonic_speedup,max_slowdown";
+    for (std::size_t c = 0; c < n_cores; ++c)
+        os << ",sd_core" << c;
+    os << '\n';
+
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const SweepSlot &s = rep.slots[i];
+        os << points[i].workload << ','
+           << ctrl::mechanismName(points[i].mechanism) << ',' << cores[i]
+           << ',' << int(points[i].watermarkDrain) << ',';
+        if (s.run.ok) {
+            os << "ok," << s.summary.execCpuCycles << ','
+               << fmt("%.6f", s.summary.weightedSpeedup) << ','
+               << fmt("%.6f", s.summary.harmonicSpeedup) << ','
+               << fmt("%.6f", s.summary.maxSlowdown);
+            for (std::size_t c = 0; c < n_cores; ++c)
+                os << ','
+                   << (c < s.summary.perCoreSlowdown.size()
+                           ? fmt("%.6f", s.summary.perCoreSlowdown[c])
+                           : std::string());
+        } else {
+            os << (s.run.skipped() ? "skipped" : "failed") << ",,,,";
+            for (std::size_t c = 0; c < n_cores; ++c)
+                os << ',';
+        }
+        os << '\n';
+    }
 }
 
 } // namespace bsim::sim

@@ -14,16 +14,19 @@
  * Journal format v3: a text file, one framed record per completed
  * point,
  *   J3 <len> <crc> P <key> attempts=<n> exec=<u64> rdlat=<a> wrlat=<a>
- *       rowhit=<a> bw=<a> cfg="<canonical>"
- * (one line). The payload — everything after the third space — is the
- * v2 record body: <key> is the point's configKey() in hex, the four
- * <a> fields are C99 hexfloats (%a), which round-trip doubles exactly —
- * the property the byte-identical-resume guarantee rests on — and
- * <canonical> echoes the canonicalConfig() encoding the key was hashed
- * from. On resume the echo is compared against the point's own
- * canonical string: a 64-bit hash collision between two different
- * configs is then detected and the point reruns instead of silently
- * reusing the colliding record.
+ *       rowhit=<a> bw=<a> [ws=<a> hs=<a> maxsd=<a> sd0=<a> ...]
+ *       cfg="<canonical>"
+ * (one line). <key> is the point's configKey() in hex; the <a> fields
+ * are C99 hexfloats (%a), which round-trip doubles exactly — the
+ * property the byte-identical-resume guarantee rests on. The bracketed
+ * fairness tokens (weighted / harmonic speedup, max slowdown, one
+ * slowdown per core) appear only on ExperimentConfig::fairness points,
+ * so a CMP fairness sweep journals through this same format. <canonical>
+ * echoes the canonicalConfig() encoding the key was hashed from. On
+ * resume the echo is compared against the point's own canonical
+ * string: a 64-bit hash collision between two different configs is
+ * then detected and the point reruns instead of silently reusing the
+ * colliding record.
  *
  * The v3 frame hardens each record individually: <len> is the payload
  * byte length in decimal and <crc> its CRC-32 in 8 hex digits, so a
@@ -40,9 +43,9 @@
  * `burstsim_campaign verify` subcommand, whose --repair mode truncates
  * the file back to its longest valid prefix.
  *
- * Bare v2 records ("P ..." with no frame) and pre-echo records (no
- * cfg= field) are still accepted, without integrity / collision
- * protection. Lines starting with '#' are comments.
+ * Unframed lines (including the bare v2 "P ..." records of older
+ * releases) are malformed; records without a cfg= echo are accepted
+ * without collision protection. Lines starting with '#' are comments.
  */
 
 #ifndef BURSTSIM_SIM_SWEEP_HH
@@ -69,8 +72,9 @@ namespace bsim::sim
  * mechanism, geometry, timing variant, engine, ...), plus the fault-
  * policy fields (watchdog, deadline) — a point that failed under a
  * tight watchdog must not be resumed as if it had run under a loose
- * one — and the scheduler-factory identity (schedulerFactoryId; a bare
- * anonymous factory is encoded as present-but-unnamed). Observability
+ * one — the scheduler-factory identity (schedulerFactoryId; a bare
+ * anonymous factory is encoded as present-but-unnamed), and whether
+ * the fairness baselines run (they fill the summary). Observability
  * sinks are excluded: they never change the summary. This string is
  * what configKey() hashes and what the journal echoes for collision
  * detection; double quotes and newlines are sanitised to '?' so the
@@ -89,6 +93,12 @@ struct SweepSummary
     double writeLatMean = 0.0; //!< memory cycles
     double rowHitRate = 0.0;
     double bandwidthGBs = 0.0;
+    /** Fairness aggregates of ExperimentConfig::fairness points; the
+     *  per-core slowdowns are empty on every other point. */
+    double weightedSpeedup = 0.0;
+    double harmonicSpeedup = 0.0;
+    double maxSlowdown = 0.0;
+    std::vector<double> perCoreSlowdown;
 };
 
 /** Extract the reported summary from a full run result. */
@@ -196,6 +206,16 @@ void writeSweepTable(std::ostream &os,
                      const std::vector<ExperimentConfig> &points,
                      const SweepReport &rep);
 
+/**
+ * Render a sweep of ExperimentConfig::fairness points as the fairness
+ * CSV: one row per point (mix, mechanism, core count, watermark-drain
+ * axis, status) with the three aggregates plus sd_core<i> columns
+ * sized to the widest mix (narrower mixes leave the extra cells empty).
+ */
+void writeFairnessCsv(std::ostream &os,
+                      const std::vector<ExperimentConfig> &points,
+                      const SweepReport &rep);
+
 /** One parsed journal record (exposed for tests). */
 struct JournalRecord
 {
@@ -238,9 +258,8 @@ struct JournalScan
      *  offset is a clean record or comment. repairSweepJournal()
      *  truncates to exactly here. */
     std::uint64_t validPrefixBytes = 0;
-    std::size_t v3Records = 0;     //!< framed records accepted
-    std::size_t legacyRecords = 0; //!< bare v2 records accepted
-    bool missing = false;          //!< file does not exist
+    std::size_t v3Records = 0; //!< framed records accepted
+    bool missing = false;      //!< file does not exist
     /** No defects at all (a missing file is trivially clean). */
     bool clean() const { return issues.empty(); }
 };

@@ -198,15 +198,16 @@ TEST(EngineEquivalence, WatermarkDrainByteIdentical)
 
 TEST(EngineEquivalence, CmpByteIdentical)
 {
-    const std::vector<std::string> wls = {"swim", "mcf"};
-    const CmpResult step = runCmpExperiment(
-        wls, ctrl::Mechanism::BurstTH, kInstr, 52, EngineKind::Step);
-    const CmpResult skip = runCmpExperiment(
-        wls, ctrl::Mechanism::BurstTH, kInstr, 52, EngineKind::Skip);
+    ExperimentConfig cfg;
+    cfg.workload = "swim+mcf";
+    cfg.mechanism = ctrl::Mechanism::BurstTH;
+    cfg.instructions = kInstr;
+    const RunResult step = runWith(cfg, EngineKind::Step);
+    const RunResult skip = runWith(cfg, EngineKind::Skip);
 
-    const auto render = [](const CmpResult &r) {
+    const auto render = [](const RunResult &r) {
         std::ostringstream os;
-        writeCmpResultJson(os, r);
+        writeResultJson(os, r);
         return os.str();
     };
     EXPECT_EQ(step.execCpuCycles, skip.execCpuCycles);
@@ -402,15 +403,18 @@ backPressuredRun(const std::vector<std::string> &workloads,
     sys.run(kInstr * 400 * workloads.size());
     EXPECT_TRUE(sys.done()) << ctrl::mechanismName(m);
 
-    CmpResult r;
-    r.workloads = workloads;
+    RunResult r;
+    for (const std::string &wl : workloads)
+        r.workload += (r.workload.empty() ? "" : "+") + wl;
     r.mechanism = m;
     r.instructions = kInstr;
     r.execCpuCycles = sys.execCpuCycles();
+    for (std::uint32_t i = 0; i < sys.numCores(); ++i)
+        r.perCoreCpuCycles.push_back(sys.coreExecCpuCycles(i));
     r.ctrl = sys.controller().stats();
     r.dataBusUtil = sys.mem().dataBusUtilization(sys.memCycles());
     std::ostringstream os;
-    writeCmpResultJson(os, r);
+    writeResultJson(os, r);
     os << "mem_cycles " << sys.memCycles() << '\n';
     for (std::uint32_t i = 0; i < sys.numCores(); ++i) {
         const cpu::Core &c = sys.core(i);

@@ -1,12 +1,12 @@
 /**
  * @file
- * CMP fairness layer: the slowdown / weighted-speedup / harmonic-
- * speedup arithmetic, the single-core identity (a core running alone
- * has slowdown exactly 1), the fairness sweep journal's crash-safe
- * resume (hexfloat round-trip, byte-identical CSV), and the config-key
- * canonicalisation — including the watermark-drain axis, which must
- * hash distinctly in both the fairness and the sweep journals while
- * leaving every pre-existing sweep key byte-stable.
+ * CMP fairness: the slowdown / weighted-speedup / harmonic-speedup
+ * arithmetic, the single-core identity (a core running alone has
+ * slowdown exactly 1), crash-safe resume of a fairness sweep through
+ * the sweep journal (hexfloat round-trip, byte-identical CSV), and the
+ * config-key canonicalisation — the watermark-drain and fairness axes
+ * and the core order must hash distinctly while every pre-existing
+ * sweep key stays byte-stable.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "sim/experiment.hh"
-#include "sim/fairness.hh"
 #include "sim/report.hh"
 #include "sim/sweep.hh"
 
@@ -35,7 +34,8 @@ tmpPath(const std::string &name)
 }
 
 std::string
-renderCsv(const std::vector<CmpConfig> &points, const FairnessReport &rep)
+renderCsv(const std::vector<ExperimentConfig> &points,
+          const SweepReport &rep)
 {
     std::ostringstream os;
     writeFairnessCsv(os, points, rep);
@@ -79,37 +79,39 @@ TEST(FairnessMath, SlowdownAndAggregatesFollowTheDefinitions)
 
 TEST(FairnessRun, SingleCoreSlowdownIsExactlyOne)
 {
-    CmpConfig cfg;
-    cfg.workloads = {"swim"};
+    ExperimentConfig cfg;
+    cfg.workload = "swim";
     cfg.mechanism = ctrl::Mechanism::Bliss;
     cfg.instructions = 4000;
-    const CmpResult r = runCmpFairness(cfg);
-    ASSERT_TRUE(r.haveFairness);
-    ASSERT_EQ(r.fairness.perCoreSlowdown.size(), 1u);
-    EXPECT_DOUBLE_EQ(r.fairness.perCoreSlowdown[0], 1.0);
-    EXPECT_DOUBLE_EQ(r.fairness.weightedSpeedup, 1.0);
-    EXPECT_DOUBLE_EQ(r.fairness.harmonicSpeedup, 1.0);
-    EXPECT_DOUBLE_EQ(r.fairness.maxSlowdown, 1.0);
+    cfg.fairness = true;
+    const RunResult r = runExperiment(cfg);
+    ASSERT_TRUE(r.fairness);
+    ASSERT_EQ(r.fairness->perCoreSlowdown.size(), 1u);
+    EXPECT_DOUBLE_EQ(r.fairness->perCoreSlowdown[0], 1.0);
+    EXPECT_DOUBLE_EQ(r.fairness->weightedSpeedup, 1.0);
+    EXPECT_DOUBLE_EQ(r.fairness->harmonicSpeedup, 1.0);
+    EXPECT_DOUBLE_EQ(r.fairness->maxSlowdown, 1.0);
 }
 
 TEST(FairnessRun, SharedMixReportsPlausibleSlowdowns)
 {
-    CmpConfig cfg;
-    cfg.workloads = {"swim", "mcf"};
+    ExperimentConfig cfg;
+    cfg.workload = "swim+mcf";
     cfg.mechanism = ctrl::Mechanism::FrFcfs;
     cfg.instructions = 4000;
-    const CmpResult r = runCmpFairness(cfg);
-    ASSERT_TRUE(r.haveFairness);
-    ASSERT_EQ(r.fairness.perCoreSlowdown.size(), 2u);
-    for (double sd : r.fairness.perCoreSlowdown)
+    cfg.fairness = true;
+    const RunResult r = runExperiment(cfg);
+    ASSERT_TRUE(r.fairness);
+    ASSERT_EQ(r.fairness->perCoreSlowdown.size(), 2u);
+    for (double sd : r.fairness->perCoreSlowdown)
         EXPECT_GE(sd, 1.0); // sharing never speeds a core up here
-    EXPECT_GE(r.fairness.maxSlowdown, 1.0);
-    EXPECT_GT(r.fairness.weightedSpeedup, 0.0);
-    EXPECT_LE(r.fairness.weightedSpeedup, 2.0);
+    EXPECT_GE(r.fairness->maxSlowdown, 1.0);
+    EXPECT_GT(r.fairness->weightedSpeedup, 0.0);
+    EXPECT_LE(r.fairness->weightedSpeedup, 2.0);
 
     // The text report must carry the fairness block.
     std::ostringstream os;
-    writeCmpResultText(os, r);
+    writeResultText(os, r);
     EXPECT_NE(os.str().find("slowdown"), std::string::npos);
 }
 
@@ -118,23 +120,30 @@ TEST(FairnessRun, SharedMixReportsPlausibleSlowdowns)
 
 TEST(FairnessJournal, KeysSeparateEveryAxis)
 {
-    CmpConfig a;
-    a.workloads = {"swim", "mcf"};
+    ExperimentConfig a;
+    a.workload = "swim+mcf";
     a.mechanism = ctrl::Mechanism::Parbs;
     a.instructions = 4000;
+    a.fairness = true;
 
-    CmpConfig b = a;
+    ExperimentConfig b = a;
     b.mechanism = ctrl::Mechanism::Atlas;
-    CmpConfig c = a;
+    ExperimentConfig c = a;
     c.watermarkDrain = true;
-    CmpConfig d = a;
-    d.workloads = {"mcf", "swim"};
+    ExperimentConfig d = a;
+    d.workload = "mcf+swim";
+    ExperimentConfig e = a;
+    e.fairness = false;
 
-    EXPECT_EQ(cmpConfigKey(a), cmpConfigKey(a));
-    EXPECT_NE(cmpConfigKey(a), cmpConfigKey(b));
-    EXPECT_NE(cmpConfigKey(a), cmpConfigKey(c));
-    EXPECT_NE(cmpConfigKey(a), cmpConfigKey(d));
-    EXPECT_NE(canonicalCmpConfig(a), canonicalCmpConfig(c));
+    EXPECT_EQ(configKey(a), configKey(a));
+    EXPECT_NE(configKey(a), configKey(b));
+    EXPECT_NE(configKey(a), configKey(c));
+    EXPECT_NE(configKey(a), configKey(d));
+    EXPECT_NE(configKey(a), configKey(e));
+    EXPECT_NE(canonicalConfig(a), canonicalConfig(c));
+    // Like |wd, the fairness token appears only when the axis is on.
+    EXPECT_NE(canonicalConfig(a).find("|fair"), std::string::npos);
+    EXPECT_EQ(canonicalConfig(e).find("|fair"), std::string::npos);
 }
 
 TEST(SweepJournal, WatermarkAxisHashesDistinctlyButOldKeysAreStable)
@@ -164,32 +173,33 @@ TEST(FairnessJournal, ResumeRestoresSlotsAndCsvIsByteIdentical)
     const std::string path = tmpPath("fairness_resume.j3");
     std::remove(path.c_str());
 
-    std::vector<CmpConfig> points(2);
-    points[0].workloads = {"swim", "mcf"};
+    std::vector<ExperimentConfig> points(2);
+    points[0].workload = "swim+mcf";
     points[0].mechanism = ctrl::Mechanism::Bliss;
     points[0].instructions = 3000;
+    points[0].fairness = true;
     points[1] = points[0];
     points[1].mechanism = ctrl::Mechanism::FrFcfs;
     points[1].watermarkDrain = true;
 
-    FairnessSweepOptions opt;
+    SweepOptions opt;
     opt.journal = path;
     opt.journalSync = false; // tmpfs test, durability irrelevant
 
-    const FairnessReport first = runFairnessSweep(points, opt);
+    const SweepReport first = runExperimentSweep(points, opt);
     ASSERT_EQ(first.slots.size(), 2u);
-    for (const FairnessSlot &s : first.slots) {
-        EXPECT_TRUE(s.ok);
+    for (const SweepSlot &s : first.slots) {
+        EXPECT_TRUE(s.run.ok);
         EXPECT_FALSE(s.fromJournal);
     }
 
-    const auto records = loadFairnessJournal(path);
+    const auto records = loadSweepJournal(path);
     EXPECT_EQ(records.size(), 2u);
 
-    const FairnessReport second = runFairnessSweep(points, opt);
+    const SweepReport second = runExperimentSweep(points, opt);
     ASSERT_EQ(second.slots.size(), 2u);
-    for (const FairnessSlot &s : second.slots) {
-        EXPECT_TRUE(s.ok);
+    for (const SweepSlot &s : second.slots) {
+        EXPECT_TRUE(s.run.ok);
         EXPECT_TRUE(s.fromJournal);
     }
     EXPECT_EQ(second.journaled(), 2u);

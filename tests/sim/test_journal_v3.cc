@@ -2,7 +2,7 @@
  * @file
  * Journal v3 hardening tests: CRC framing written by real sweeps,
  * record-level corruption detection (CRC flip, length mismatch, torn
- * tail), longest-valid-prefix repair, legacy v2 acceptance, and the
+ * tail), longest-valid-prefix repair, rejection of unframed lines, and the
  * shardSlots partition the campaign layer is built on.
  */
 
@@ -101,7 +101,6 @@ TEST(JournalV3, RealSweepWritesFramedRecordsThatScanClean)
     const JournalScan scan = scanSweepJournal(path);
     EXPECT_TRUE(scan.clean());
     EXPECT_EQ(scan.v3Records, 3u);
-    EXPECT_EQ(scan.legacyRecords, 0u);
     EXPECT_EQ(scan.records.size(), 3u);
     // Every record is framed and the whole file is the valid prefix.
     const std::string content = slurp(path);
@@ -211,17 +210,20 @@ TEST(JournalV3, LengthMismatchIsItsOwnIssueKind)
     std::remove(path.c_str());
 }
 
-TEST(JournalV3, LegacyBareV2RecordsStillResume)
+TEST(JournalV3, UnframedRecordsAreMalformed)
 {
-    const std::string path = tempPath("j3_legacy.journal");
+    // A bare "P ..." line carries no length or CRC, so nothing vouches
+    // for it: it is damage before the last record, not a resumable
+    // point.
+    const std::string path = tempPath("j3_unframed.journal");
     spit(path, "# old journal\n" + kPayloadA + "\n" + frame(kPayloadB));
     const JournalScan scan = scanSweepJournal(path);
-    EXPECT_TRUE(scan.clean());
-    EXPECT_EQ(scan.legacyRecords, 1u);
-    EXPECT_EQ(scan.v3Records, 1u);
-    EXPECT_EQ(scan.records.count(0xaa), 1u);
+    ASSERT_EQ(scan.issues.size(), 1u);
+    EXPECT_EQ(scan.issues[0].kind, JournalIssue::Kind::Malformed);
+    EXPECT_EQ(scan.issues[0].line, 2u);
+    EXPECT_EQ(scan.records.count(0xaa), 0u);
     EXPECT_EQ(scan.records.count(0xbb), 1u);
-    EXPECT_EQ(scan.records.at(0xaa).summary.execCpuCycles, 123u);
+    EXPECT_EQ(scan.v3Records, 1u);
     std::remove(path.c_str());
 }
 

@@ -81,10 +81,13 @@ TEST(Report, TextSummaryHasMetrics)
 
 TEST(Report, CmpJsonListsCores)
 {
-    const auto r = runCmpExperiment({"gzip", "mcf"},
-                                    ctrl::Mechanism::BurstTH, 8000);
+    ExperimentConfig cfg;
+    cfg.workload = "gzip+mcf";
+    cfg.mechanism = ctrl::Mechanism::BurstTH;
+    cfg.instructions = 8000;
+    const RunResult r = runExperiment(cfg);
     std::ostringstream os;
-    writeCmpResultJson(os, r);
+    writeResultJson(os, r);
     const std::string out = os.str();
     EXPECT_NE(out.find("\"workloads\""), std::string::npos);
     EXPECT_NE(out.find("\"gzip\""), std::string::npos);

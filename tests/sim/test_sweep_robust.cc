@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.hh"
 #include "sim/sweep.hh"
 #include "sim/sweep_runner.hh"
 
@@ -237,11 +238,21 @@ TEST(SweepJournal, TornFinalLineIsSkipped)
 {
     const std::string path = tempPath("bsim_torn.journal");
     {
+        const auto frame = [](const std::string &payload) {
+            char head[32];
+            std::snprintf(head, sizeof(head), "J3 %zu %08x ",
+                          payload.size(), crc32(payload));
+            return head + payload;
+        };
+        const std::string torn =
+            frame("P 00000000000000bb attempts=2 exec=456 rdlat=0x1p+0 "
+                  "wrlat=0x1p+0 rowhit=0x1p-2 bw=0x1p+0");
         std::ofstream os(path);
         os << "# comment\n"
-           << "P 00000000000000aa attempts=1 exec=123 rdlat=0x1p+1 "
-              "wrlat=0x1p+2 rowhit=0x1p-1 bw=0x1.8p+1\n"
-           << "P 00000000000000bb attempts=2 exec=4"; // torn mid-write
+           << frame("P 00000000000000aa attempts=1 exec=123 rdlat=0x1p+1 "
+                    "wrlat=0x1p+2 rowhit=0x1p-1 bw=0x1.8p+1")
+           << '\n'
+           << torn.substr(0, torn.size() / 2); // torn mid-write
     }
     const auto j = loadSweepJournal(path);
     ASSERT_EQ(j.size(), 1u);

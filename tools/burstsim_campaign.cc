@@ -313,9 +313,9 @@ cmdVerify(const ArgParser &args)
             std::printf("%s: missing (empty journal)\n", path.c_str());
             continue;
         }
-        std::printf("%s: %zu records (%zu v3, %zu legacy), %zu issues\n",
+        std::printf("%s: %zu records (%zu v3), %zu issues\n",
                     path.c_str(), scan.records.size(), scan.v3Records,
-                    scan.legacyRecords, scan.issues.size());
+                    scan.issues.size());
         for (const sim::JournalIssue &issue : scan.issues)
             std::printf("  line %llu: %s: %s\n",
                         (unsigned long long)issue.line,

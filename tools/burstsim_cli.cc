@@ -6,6 +6,7 @@
  *   burstsim --workload swim --mechanism Burst_TH
  *   burstsim --workload mcf --mechanism Burst_RP --instructions 500000
  *   burstsim --cmp swim,mcf,gcc,art --mechanism Burst_TH --json
+ *   burstsim --cmp mcf,swim --mechanism BLISS,FR-FCFS --fairness-out f.csv
  *   burstsim --sweep --workload lucas          # all 8 mechanisms
  *   burstsim --list
  */
@@ -25,7 +26,6 @@
 #include "common/table.hh"
 #include "obs/observability.hh"
 #include "sim/experiment.hh"
-#include "sim/fairness.hh"
 #include "sim/report.hh"
 #include "sim/sweep.hh"
 #include "trace/spec_profiles.hh"
@@ -67,12 +67,19 @@ parseEngine(const ArgParser &args)
     return sim::EngineKind::Skip;
 }
 
+/** The run the command line describes under @p mechanism. `--cmp
+ *  w0,w1` is the mix workload "w0+w1". */
 sim::ExperimentConfig
-configFrom(const ArgParser &args)
+configFrom(const ArgParser &args, const std::string &mechanism)
 {
     sim::ExperimentConfig cfg;
     cfg.workload = args.str("workload");
-    cfg.mechanism = ctrl::parseMechanism(args.str("mechanism"));
+    if (const auto cmp = splitCommas(args.str("cmp")); !cmp.empty()) {
+        cfg.workload = cmp[0];
+        for (std::size_t i = 1; i < cmp.size(); ++i)
+            cfg.workload += '+' + cmp[i];
+    }
+    cfg.mechanism = ctrl::parseMechanism(mechanism);
     cfg.instructions = args.u64("instructions");
     cfg.seed = args.u64("seed");
     cfg.threshold = args.u64("threshold");
@@ -103,6 +110,8 @@ configFrom(const ArgParser &args)
     cfg.rankAware = !args.flag("no-rank-aware");
     cfg.horizonMemo = !args.flag("no-horizon-memo");
     cfg.watermarkDrain = args.flag("watermark-drain");
+    cfg.fairness =
+        args.flag("fairness") || !args.str("fairness-out").empty();
 
     // Observability: each pillar turns on only when requested, so the
     // default run carries no instrumentation cost.
@@ -138,6 +147,61 @@ configFrom(const ArgParser &args)
             fatal("--deadline-sec must be a non-negative number");
     }
     return cfg;
+}
+
+/** Execution policy of a --sweep or fairness sweep. */
+sim::SweepOptions
+sweepOptionsFrom(const ArgParser &args)
+{
+    sim::SweepOptions opt;
+    opt.jobs = unsigned(args.u64("jobs"));
+    opt.maxAttempts = unsigned(args.u64("retries")) + 1;
+    if (!args.str("max-failures").empty())
+        opt.maxFailures = args.u64("max-failures");
+    opt.journal = args.str("sweep-journal");
+    opt.cancel = &g_interrupted;
+    opt.progressPath = args.str("progress-out");
+    const std::string &hb = args.str("heartbeat-sec");
+    if (!hb.empty()) {
+        char *end = nullptr;
+        opt.heartbeatSec = std::strtod(hb.c_str(), &end);
+        if (end == hb.c_str() || *end || opt.heartbeatSec < 0)
+            fatal("--heartbeat-sec must be a non-negative number");
+    }
+    return opt;
+}
+
+/** Run @p points under SIGINT-drain and report the sweep's fate on
+ *  stderr; @p render writes the deterministic results. Returns the
+ *  exit status. */
+template <typename Fn>
+int
+runSweep(const ArgParser &args,
+         const std::vector<sim::ExperimentConfig> &points, Fn render)
+{
+    std::signal(SIGINT, onSigint);
+    const sim::SweepReport rep =
+        sim::runExperimentSweep(points, sweepOptionsFrom(args));
+    std::signal(SIGINT, SIG_DFL);
+
+    render(rep);
+    if (const std::size_t failed = rep.failures())
+        std::cerr << "burstsim: " << failed << " of " << points.size()
+                  << " sweep points failed\n";
+    if (rep.journaled())
+        std::cerr << "burstsim: " << rep.journaled()
+                  << " points restored from journal\n";
+    if (rep.cancelled) {
+        std::cerr << "burstsim: sweep interrupted; completed points "
+                     "are journaled\n";
+        return 130;
+    }
+    if (rep.aborted) {
+        std::cerr << "burstsim: sweep aborted after exceeding "
+                     "--max-failures\n";
+        return 3;
+    }
+    return 0;
 }
 
 /**
@@ -197,9 +261,10 @@ runCli(int argc, char **argv)
                    "simulation engine: skip (event-driven, default) | "
                    "step (tick-accurate); identical results");
     args.addOption("jobs", "1",
-                   "parallel runs in --sweep mode (0 = all cores)");
+                   "parallel runs in sweep modes (0 = all cores)");
     args.addOption("cmp", "",
-                   "comma-separated workloads, one core each (CMP mode)");
+                   "comma-separated workloads, one core each (CMP mode; "
+                   "same as --workload w0+w1+...)");
     args.addFlag("sweep", "run all eight mechanisms and compare; "
                           "--workload may list several (commas), and "
                           "'@/path' entries replay trace files");
@@ -272,12 +337,10 @@ runCli(int argc, char **argv)
     args.addFlag("fairness",
                  "CMP mode: also run each core's alone baseline and "
                  "report slowdown / weighted / harmonic speedup");
-    args.addOption("fairness-journal", "",
-                   "fairness checkpoint file: completed mixes are "
-                   "appended and skipped on rerun (implies --fairness)");
     args.addOption("fairness-out", "",
                    "write CMP fairness results as CSV to this path "
-                   "(implies --fairness)");
+                   "(implies --fairness; --mechanism may list several, "
+                   "resumable via --sweep-journal)");
 
     if (!args.parse(argc, argv, std::cerr))
         return args.helpRequested() ? 0 : 2;
@@ -308,34 +371,16 @@ runCli(int argc, char **argv)
         return 0;
     }
 
-    // CMP mode: one core per listed workload.
-    if (!args.str("cmp").empty()) {
-        sim::CmpConfig cfg;
-        cfg.workloads = splitCommas(args.str("cmp"));
-        cfg.instructions = args.u64("instructions");
-        cfg.threshold = args.u64("threshold");
-        cfg.engine = parseEngine(args);
-        cfg.watermarkDrain = args.flag("watermark-drain");
-
-        const bool fairness = args.flag("fairness") ||
-                              !args.str("fairness-journal").empty() ||
-                              !args.str("fairness-out").empty();
-
-        // A comma list of mechanisms fans out into a fairness sweep
-        // (resumable via --fairness-journal, CSV via --fairness-out).
-        const auto mechs = splitCommas(args.str("mechanism"));
-        if (fairness &&
-            (mechs.size() > 1 || !args.str("fairness-journal").empty() ||
-             !args.str("fairness-out").empty())) {
-            std::vector<sim::CmpConfig> points;
-            for (const auto &m : mechs) {
-                cfg.mechanism = ctrl::parseMechanism(m);
-                points.push_back(cfg);
-            }
-            sim::FairnessSweepOptions opt;
-            opt.journal = args.str("fairness-journal");
-            const sim::FairnessReport rep =
-                sim::runFairnessSweep(points, opt);
+    // A fairness sweep: the mix under every listed mechanism, one CSV
+    // row each (also to --fairness-out).
+    const auto mechs = splitCommas(args.str("mechanism"));
+    const bool fairness_out = !args.str("fairness-out").empty();
+    if ((args.flag("fairness") || fairness_out) &&
+        (mechs.size() > 1 || fairness_out)) {
+        std::vector<sim::ExperimentConfig> points;
+        for (const auto &m : mechs)
+            points.push_back(configFrom(args, m));
+        return runSweep(args, points, [&](const sim::SweepReport &rep) {
             sim::writeFairnessCsv(std::cout, points, rep);
             if (const std::string &path = args.str("fairness-out");
                 !path.empty()) {
@@ -343,28 +388,20 @@ runCli(int argc, char **argv)
                     sim::writeFairnessCsv(os, points, rep);
                 });
             }
-            if (rep.journaled())
-                std::cerr << "burstsim: " << rep.journaled()
-                          << " mixes restored from journal\n";
-            return 0;
-        }
-
-        cfg.mechanism = ctrl::parseMechanism(args.str("mechanism"));
-        const auto r = fairness ? sim::runCmpFairness(cfg)
-                                : sim::runCmpExperiment(cfg);
-        if (args.flag("json"))
-            sim::writeCmpResultJson(std::cout, r);
-        else
-            sim::writeCmpResultText(std::cout, r);
-        return 0;
+        });
     }
 
+    const sim::ExperimentConfig base =
+        configFrom(args, args.str("mechanism"));
     if (args.flag("sweep")) {
-        // Points: every listed workload under every mechanism, in
-        // workload-major order (deterministic slot layout).
-        const sim::ExperimentConfig base = configFrom(args);
+        // Points: every listed workload (or the --cmp mix) under every
+        // mechanism, in workload-major order (deterministic slot
+        // layout).
+        const auto workloads = args.str("cmp").empty()
+                                   ? splitCommas(args.str("workload"))
+                                   : std::vector{base.workload};
         std::vector<sim::ExperimentConfig> points;
-        for (const std::string &wl : splitCommas(args.str("workload"))) {
+        for (const std::string &wl : workloads) {
             for (ctrl::Mechanism m : ctrl::kAllMechanisms) {
                 sim::ExperimentConfig cfg = base;
                 cfg.workload = wl;
@@ -372,54 +409,18 @@ runCli(int argc, char **argv)
                 points.push_back(cfg);
             }
         }
-
-        sim::SweepOptions opt;
-        opt.jobs = unsigned(args.u64("jobs"));
-        opt.maxAttempts = unsigned(args.u64("retries")) + 1;
-        if (!args.str("max-failures").empty())
-            opt.maxFailures = args.u64("max-failures");
-        opt.journal = args.str("sweep-journal");
-        opt.cancel = &g_interrupted;
-        opt.progressPath = args.str("progress-out");
-        const std::string &hb = args.str("heartbeat-sec");
-        if (!hb.empty()) {
-            char *end = nullptr;
-            opt.heartbeatSec = std::strtod(hb.c_str(), &end);
-            if (end == hb.c_str() || *end || opt.heartbeatSec < 0)
-                fatal("--heartbeat-sec must be a non-negative number");
-        }
-
-        std::signal(SIGINT, onSigint);
-        const sim::SweepReport rep = sim::runExperimentSweep(points, opt);
-        std::signal(SIGINT, SIG_DFL);
-
-        sim::writeSweepTable(std::cout, points, rep);
-        if (const std::string &path = args.str("sweep-out");
-            !path.empty()) {
-            writeFileOrDie(path, [&](std::ostream &os) {
-                sim::writeSweepCsv(os, points, rep);
-            });
-        }
-        if (const std::size_t failed = rep.failures())
-            std::cerr << "burstsim: " << failed << " of "
-                      << points.size() << " sweep points failed\n";
-        if (rep.journaled())
-            std::cerr << "burstsim: " << rep.journaled()
-                      << " points restored from journal\n";
-        if (rep.cancelled) {
-            std::cerr << "burstsim: sweep interrupted; completed points "
-                         "are journaled\n";
-            return 130;
-        }
-        if (rep.aborted) {
-            std::cerr << "burstsim: sweep aborted after exceeding "
-                         "--max-failures\n";
-            return 3;
-        }
-        return 0;
+        return runSweep(args, points, [&](const sim::SweepReport &rep) {
+            sim::writeSweepTable(std::cout, points, rep);
+            if (const std::string &path = args.str("sweep-out");
+                !path.empty()) {
+                writeFileOrDie(path, [&](std::ostream &os) {
+                    sim::writeSweepCsv(os, points, rep);
+                });
+            }
+        });
     }
 
-    const sim::RunResult r = sim::runExperiment(configFrom(args));
+    const sim::RunResult r = sim::runExperiment(base);
     if (args.flag("json"))
         sim::writeResultJson(std::cout, r);
     else
