@@ -10,15 +10,22 @@ namespace bsim::ctrl
 namespace
 {
 
+/** AdaptiveHistory: decay of the arrival and service mixes. */
+constexpr double kHistoryDecay = 0.995;
+/** AdaptiveHistory: queue depth searched for an open-row hit. */
+constexpr std::size_t kHistoryWindow = 4;
+
 /** ATLAS quantum decay (the paper's alpha). */
 constexpr double kAtlasAlpha = 0.875;
 
 } // namespace
 
-ContentionScheduler::ContentionScheduler(const SchedulerContext &ctx)
-    : Scheduler(ctx), queues_(numBanks()), ongoing_(numBanks(), nullptr)
+ContentionScheduler::ContentionScheduler(const SchedulerContext &ctx,
+                                         Shape shape)
+    : Scheduler(ctx), shape_(shape), queues_(numBanks()),
+      ongoing_(numBanks(), nullptr)
 {
-    watermark_ = ctx_.params.watermarkDrain;
+    watermark_ = shape_.watermarkAxis && ctx_.params.watermarkDrain;
     const std::size_t cap = ctx_.params.writeCap;
     hi_ = ctx_.params.hiWatermark ? ctx_.params.hiWatermark
                                   : std::max<std::size_t>(1, cap * 3 / 4);
@@ -31,7 +38,10 @@ ContentionScheduler::ContentionScheduler(const SchedulerContext &ctx)
 void
 ContentionScheduler::enqueue(MemAccess *a)
 {
-    queues_[bankIndex(a->coords)].push_back(a);
+    const std::uint32_t b = bankIndex(a->coords);
+    queues_[b].push_back(a);
+    if (shape_.fifo)
+        fill(b);
     if (a->isWrite()) {
         writes_ += 1;
         noteWriteEnqueued(a);
@@ -41,24 +51,63 @@ ContentionScheduler::enqueue(MemAccess *a)
     onEnqueued(a);
 }
 
+std::size_t
+ContentionScheduler::fillPick(std::uint32_t b) const
+{
+    const auto &q = queues_[b];
+    std::size_t pick = q.size();
+    for (std::size_t i = 0; i < q.size(); ++i) {
+        if (!eligible(q[i]))
+            continue;
+        if (pick == q.size() || beats(q[i], q[pick]))
+            pick = i;
+    }
+    return pick;
+}
+
+std::size_t
+ContentionScheduler::openRowFirst(std::uint32_t b, std::size_t window) const
+{
+    const auto &q = queues_[b];
+    const dram::Bank &bank = ctx_.mem->bank(q.front()->coords);
+    if (bank.isOpen()) {
+        const std::size_t n = std::min(window, q.size());
+        for (std::size_t i = 0; i < n; ++i)
+            if (q[i]->coords.row == bank.openRow())
+                return i;
+    }
+    return 0;
+}
+
 void
-ContentionScheduler::arbitrate(std::uint32_t b)
+ContentionScheduler::fillSlot(std::uint32_t b)
 {
     auto &q = queues_[b];
-    if (ongoing_[b] || q.empty())
-        return;
-    auto pick = q.end();
-    for (auto it = q.begin(); it != q.end(); ++it) {
-        if (!eligible(*it))
-            continue;
-        if (pick == q.end() || beats(*it, *pick))
-            pick = it;
-    }
-    if (pick == q.end())
+    const std::size_t i = shape_.fifo ? 0 : fillPick(b);
+    if (i == q.size())
         return; // drain mode gates every queued access of this bank
-    ongoing_[b] = *pick;
-    q.erase(pick);
+    ongoing_[b] = q[i];
+    q.erase(q.begin() + std::ptrdiff_t(i));
     clearBound(b); // new probe candidate for this bank
+}
+
+Scheduler::Issued
+ContentionScheduler::serve(std::uint32_t b, Tick now)
+{
+    MemAccess *a = ongoing_[b];
+    Issued out = issueFor(a, now);
+    if (out.columnAccess) {
+        ongoing_[b] = nullptr;
+        if (a->isWrite())
+            writes_ -= 1;
+        else
+            reads_ -= 1;
+        rr_ = b; // round robin advances on completed service
+        onColumnIssued(a);
+        if (shape_.fifo)
+            fill(b);
+    }
+    return out;
 }
 
 bool
@@ -98,13 +147,29 @@ ContentionScheduler::tick(Tick now)
     }
 
     const std::uint32_t n = numBanks();
-    for (std::uint32_t b = 0; b < n; ++b)
-        arbitrate(b);
+    if (shape_.pick == InterBank::RoundRobin) {
+        // Fill lazily: a slot fills only when the rotation reaches its
+        // bank, and the first ready candidate issues. Filling every
+        // slot up front would commit the banks past the issuing one to
+        // a pick made now, before later arrivals could compete for the
+        // slot (RowHit's open-row pick makes the difference visible).
+        for (std::uint32_t i = 0; i < n; ++i) {
+            const std::uint32_t b = (rr_ + 1 + i) % n;
+            fill(b);
+            const MemAccess *a = ongoing_[b];
+            if (a && bankBound(b, a, now) <= now)
+                return serve(b, now);
+        }
+        return {};
+    }
 
-    // The family order decides inter-bank arbitration too: among the
+    for (std::uint32_t b = 0; b < n; ++b)
+        fill(b);
+
+    // The policy order decides inter-bank arbitration too: among the
     // candidates whose next transaction is issuable right now, serve
     // the highest-priority one (marked / least-serviced / whitelisted
-    // first), not a round-robin.
+    // / best history score first).
     MemAccess *best = nullptr;
     std::uint32_t best_bank = 0;
     for (std::uint32_t b = 0; b < n; ++b) {
@@ -118,17 +183,7 @@ ContentionScheduler::tick(Tick now)
     }
     if (!best)
         return {};
-
-    Issued out = issueFor(best, now);
-    if (out.columnAccess) {
-        ongoing_[best_bank] = nullptr;
-        if (best->isWrite())
-            writes_ -= 1;
-        else
-            reads_ -= 1;
-        onColumnIssued(best);
-    }
-    return out;
+    return serve(best_bank, now);
 }
 
 dram::StallCause
@@ -157,9 +212,10 @@ ContentionScheduler::stallScan(Tick now, obs::StallAttribution &sink) const
         return dram::StallCause::ThresholdGated;
     }
 
-    // tick() already arbitrated every bank this cycle (it only returns
-    // empty-handed after the full pass), so ongoing_ holds each bank's
-    // chosen access and the queues hold backlog plus drain-gated work.
+    // tick() already filled every slot this cycle (it only returns
+    // empty-handed after the full pass, round robin included), so
+    // ongoing_ holds each bank's chosen access and the queues hold
+    // backlog plus drain-gated work.
     dram::StallCause channel_cause = dram::StallCause::NoWork;
     Tick oldest = kTickMax;
     bool any_ongoing = false;
@@ -216,8 +272,10 @@ ContentionScheduler::nextEventTick(Tick now) const
     }
 
     // A tick can still pull eligible backlog into an empty ongoing
-    // slot — a real arbitration state change, so no skipping.
-    for (std::uint32_t b = 0; b < std::uint32_t(ongoing_.size()); ++b) {
+    // slot — a real arbitration state change, so no skipping. A FIFO
+    // shape fills on enqueue and on issue, so it never pins here.
+    for (std::uint32_t b = 0;
+         !shape_.fifo && b < std::uint32_t(ongoing_.size()); ++b) {
         if (ongoing_[b] || queues_[b].empty())
             continue;
         for (const MemAccess *a : queues_[b])
@@ -250,6 +308,12 @@ ContentionScheduler::nextEventTick(Tick now) const
     }
 
     if (horizon == kTickMax) {
+        if (!shape_.watermarkAxis) {
+            // Every candidate waits on a state gate (a refresh drain):
+            // only a command the controller itself wakes for clears it.
+            pin_ = HorizonPin::None;
+            return kTickMax;
+        }
         // Backlog exists but every access is drain-gated and no slot
         // is busy: progress resumes only when another channel moves
         // the global write count across a watermark band. The memo is
@@ -305,6 +369,94 @@ ContentionScheduler::queueOccupancy(std::vector<std::uint32_t> &reads,
 }
 
 // --------------------------------------------------------------------
+// RowHit
+
+std::size_t
+RowHitPolicy::fillPick(std::uint32_t b) const
+{
+    return openRowFirst(b, bankQueue(b).size());
+}
+
+// --------------------------------------------------------------------
+// AdaptiveHistory
+
+std::size_t
+AdaptiveHistoryPolicy::fillPick(std::uint32_t b) const
+{
+    return openRowFirst(b, kHistoryWindow);
+}
+
+double
+AdaptiveHistoryPolicy::readDeficit() const
+{
+    return readArrivals_ / (readArrivals_ + writeArrivals_) -
+           readsScheduled_ / (readsScheduled_ + writesScheduled_);
+}
+
+double
+AdaptiveHistoryPolicy::scoreOf(const MemAccess *a) const
+{
+    // Criterion 1: steer the scheduled mix toward the arrival mix. If
+    // reads have been over-served relative to how they arrive, a write
+    // is the matching choice, and vice versa.
+    const double imbalance = readDeficit();
+    double score = (a->isRead() ? imbalance : -imbalance) * 8.0;
+
+    // Criterion 2: spread consecutive services across banks so
+    // transactions pipeline.
+    const std::uint32_t bank = bankIndex(a->coords);
+    if (bank != lastBank_)
+        score += 1.0;
+    if (bank != prevBank_)
+        score += 0.5;
+
+    // Criterion 3 (weak): prefer row hits — they finish sooner.
+    if (ctx_.mem->classify(a->coords) == dram::RowOutcome::Hit)
+        score += 0.75;
+    return score;
+}
+
+bool
+AdaptiveHistoryPolicy::beats(const MemAccess *a, const MemAccess *b) const
+{
+    // Oldest-first tie break keeps the policy starvation free.
+    const double sa = scoreOf(a), sb = scoreOf(b);
+    return sa > sb + 1e-9 || (sa > sb - 1e-9 && a->arrival < b->arrival);
+}
+
+void
+AdaptiveHistoryPolicy::onEnqueued(MemAccess *a)
+{
+    if (a->isWrite())
+        writeArrivals_ = writeArrivals_ * kHistoryDecay + 1.0;
+    else
+        readArrivals_ = readArrivals_ * kHistoryDecay + 1.0;
+}
+
+void
+AdaptiveHistoryPolicy::onColumnIssued(MemAccess *a)
+{
+    const double deficit = readDeficit();
+    if ((a->isRead() && deficit > 0) || (a->isWrite() && deficit < 0))
+        mixSteered_ += 1;
+    if (a->isWrite()) {
+        writesScheduled_ = writesScheduled_ * kHistoryDecay + 1.0;
+        readsScheduled_ *= kHistoryDecay;
+    } else {
+        readsScheduled_ = readsScheduled_ * kHistoryDecay + 1.0;
+        writesScheduled_ *= kHistoryDecay;
+    }
+    prevBank_ = lastBank_;
+    lastBank_ = bankIndex(a->coords);
+}
+
+void
+AdaptiveHistoryPolicy::familyStats(std::map<std::string, double> &out) const
+{
+    out["mix_steered"] = double(mixSteered_);
+}
+
+// --------------------------------------------------------------------
 // FR-FCFS
 
 bool
@@ -313,9 +465,7 @@ FrFcfsScheduler::beats(const MemAccess *a, const MemAccess *b) const
     const bool ha = rowHit(a), hb = rowHit(b);
     if (ha != hb)
         return ha;
-    if (a->arrival != b->arrival)
-        return a->arrival < b->arrival;
-    return a->id < b->id;
+    return olderFirst(a, b);
 }
 
 // --------------------------------------------------------------------
@@ -335,9 +485,7 @@ ParbsScheduler::beats(const MemAccess *a, const MemAccess *b) const
     const std::uint32_t ra = rankOf(a->tag), rb = rankOf(b->tag);
     if (ra != rb)
         return ra < rb;
-    if (a->arrival != b->arrival)
-        return a->arrival < b->arrival;
-    return a->id < b->id;
+    return olderFirst(a, b);
 }
 
 std::uint32_t
@@ -450,9 +598,7 @@ AtlasScheduler::beats(const MemAccess *a, const MemAccess *b) const
     const bool ha = rowHit(a), hb = rowHit(b);
     if (ha != hb)
         return ha;
-    if (a->arrival != b->arrival)
-        return a->arrival < b->arrival;
-    return a->id < b->id;
+    return olderFirst(a, b);
 }
 
 void
@@ -509,9 +655,7 @@ BlissScheduler::beats(const MemAccess *a, const MemAccess *b) const
     const bool ha = rowHit(a), hb = rowHit(b);
     if (ha != hb)
         return ha;
-    if (a->arrival != b->arrival)
-        return a->arrival < b->arrival;
-    return a->id < b->id;
+    return olderFirst(a, b);
 }
 
 void

@@ -1,10 +1,26 @@
 /**
  * @file
- * Contention-aware CMP scheduler zoo (ROADMAP item 1).
+ * The per-bank-queue chassis and the seven policies written on it.
  *
- * Four multi-core scheduling classics ported onto the Scheduler
- * interface so the CMP fairness layer can judge them against the
- * paper's burst mechanisms:
+ * Every policy here keeps one unified queue per bank plus a per-bank
+ * ongoing slot, and differs only in two hooks: the intra-bank order
+ * that fills a bank's empty slot, and the inter-bank pick among the
+ * slots whose next transaction may issue.
+ *
+ * The paper's baselines and its related-work comparison point:
+ *
+ *  - BkInOrder (paper Table 4): arrival order within a bank, banks
+ *    served round robin. Reads and writes share the queue, so writes
+ *    are not postponed.
+ *  - RowHit (Rixner et al., ISCA'00; paper Table 4): the oldest access
+ *    to the bank's open row first, else the oldest; round robin.
+ *  - AdaptiveHistory (Hur & Lin, MICRO'04; paper Section 2.2, not part
+ *    of Table 4): row hit first within a 4-deep window; across banks,
+ *    a score that steers the scheduled read/write mix toward the
+ *    arrival mix and spreads consecutive services over banks.
+ *
+ * The contention-aware CMP classics the fairness layer judges the
+ * paper's burst mechanisms against:
  *
  *  - FR-FCFS (Rixner et al., ISCA'00): ready row hits first across all
  *    banks, then oldest arrival.
@@ -15,18 +31,17 @@
  *  - BLISS (Subramanian et al., ICCD'14): streak-based blacklisting of
  *    interference-heavy threads.
  *
- * All four share one queue shape (per-bank unified queues plus a
- * per-bank ongoing slot, as RowHitScheduler) and one optional
- * watermark write-drain mode (HI_WM/LO_WM hysteresis with a policy
- * bus-turnaround hold on each drain flip). Thread identity is
- * MemAccess::tag (the CMP core id).
+ * The four contention families also share one optional watermark
+ * write-drain mode (HI_WM/LO_WM hysteresis with a policy bus-turnaround
+ * hold on each drain flip). Thread identity is MemAccess::tag (the CMP
+ * core id).
  *
  * Engine contract: every policy-state change is anchored either to a
- * real issue/enqueue event (PAR-BS batch formation) or to the absolute
- * tick lattice and caught up lazily in syncEpochs() (ATLAS quantum
- * folds, BLISS blacklist clearing) — a pure function of `now` and
- * issue-accumulated counters, so the step and skip engines observe
- * byte-identical decisions.
+ * real issue/enqueue event (PAR-BS batch formation, the history mixes)
+ * or to the absolute tick lattice and caught up lazily in syncEpochs()
+ * (ATLAS quantum folds, BLISS blacklist clearing) — a pure function of
+ * `now` and issue-accumulated counters, so the step and skip engines
+ * observe byte-identical decisions.
  */
 
 #ifndef BURSTSIM_CTRL_SCHEDULERS_CONTENTION_HH
@@ -43,15 +58,42 @@ namespace bsim::ctrl
 {
 
 /**
- * Shared chassis of the contention-aware families: per-bank unified
- * queues, a family-defined priority order applied both when filling a
- * bank's ongoing slot and when choosing which ready candidate issues,
- * and the optional watermark write-drain mode.
+ * The per-bank-queue chassis: unified per-bank queues, an ongoing slot
+ * per bank, the optional watermark write-drain mode, and the one tick,
+ * stall scan and event horizon every policy here shares. A policy
+ * fixes its Shape at construction and overrides the two order hooks,
+ * fillPick() (intra-bank) and beats() (inter-bank priority).
  */
 class ContentionScheduler : public Scheduler
 {
   public:
-    explicit ContentionScheduler(const SchedulerContext &ctx);
+    /** How the chassis chooses which bank's ready candidate issues. */
+    enum class InterBank : std::uint8_t
+    {
+        Priority,   //!< fill every slot, then serve the beats() winner
+        RoundRobin, //!< rotate from the last served bank, filling each
+                    //!< slot only when the rotation reaches it
+    };
+
+    /** What a policy fixes about the chassis when it is built. */
+    struct Shape
+    {
+        InterBank pick = InterBank::Priority;
+        /** Intra-bank order is arrival order. The pick reads no bank
+         *  state, so a slot fills on enqueue and on issue and a bank
+         *  with backlog never waits on a fill (no ArbFill pin). */
+        bool fifo = false;
+        /** Honour SchedulerParams::watermarkDrain, a contention-family
+         *  axis. Policies without it also never pin Conservative: when
+         *  every candidate waits on a state gate they report none. */
+        bool watermarkAxis = true;
+    };
+
+    explicit ContentionScheduler(const SchedulerContext &ctx)
+        : ContentionScheduler(ctx, Shape{})
+    {
+    }
+    ContentionScheduler(const SchedulerContext &ctx, Shape shape);
 
     void enqueue(MemAccess *a) override;
     Issued tick(Tick now) override;
@@ -69,11 +111,25 @@ class ContentionScheduler : public Scheduler
 
   protected:
     /**
-     * Does @p a take priority over @p b? Must induce a strict total
-     * order (families end their chains with arrival then id), so that
-     * both engines resolve every tie identically.
+     * Does @p a take priority over @p b? Decides the inter-bank pick
+     * under InterBank::Priority and the default fillPick(). The
+     * contention families induce a strict total order (their chains end
+     * with olderFirst(), the default), so both engines resolve every
+     * tie identically. Round-robin policies never call it.
      */
-    virtual bool beats(const MemAccess *a, const MemAccess *b) const = 0;
+    virtual bool beats(const MemAccess *a, const MemAccess *b) const
+    {
+        return olderFirst(a, b);
+    }
+
+    /**
+     * Intra-bank order: the position in bankQueue(@p b) of the access
+     * that fills bank @p b's empty slot, or the queue's size when no
+     * queued access is eligible. Called only on an empty slot with
+     * backlog (never under Shape::fifo, which takes the front). The
+     * default takes the first eligible access no other one beats().
+     */
+    virtual std::size_t fillPick(std::uint32_t b) const;
 
     /**
      * Lazily catch tick-lattice policy state up to @p now (quantum
@@ -104,12 +160,27 @@ class ContentionScheduler : public Scheduler
         (void)out;
     }
 
+    /** Older arrival first, then lower id: a strict total order. */
+    static bool
+    olderFirst(const MemAccess *a, const MemAccess *b)
+    {
+        if (a->arrival != b->arrival)
+            return a->arrival < b->arrival;
+        return a->id < b->id;
+    }
+
     /** Would @p a's next transaction be the column access already
-     *  (open-row hit)? The uniform row-hit test of every comparator. */
+     *  (open-row hit)? The contention families' row-hit test. */
     bool rowHit(const MemAccess *a) const
     {
         return dram::isColumnAccess(nextCmd(a));
     }
+
+    /** Position of the first of the oldest @p window accesses in bank
+     *  @p b's queue that targets the bank's open row; 0 (the oldest)
+     *  when the bank is closed or none does. The baselines' row-hit
+     *  test: it compares rows, not the next command. */
+    std::size_t openRowFirst(std::uint32_t b, std::size_t window) const;
 
     /** May @p a be pulled into an ongoing slot under the current
      *  drain mode? Always true without watermark drain. */
@@ -127,14 +198,27 @@ class ContentionScheduler : public Scheduler
     }
 
   private:
-    /** Fill bank @p b's ongoing slot with its best eligible access. */
-    void arbitrate(std::uint32_t b);
+    /** Fill bank @p b's slot if it is empty and the bank has backlog
+     *  (inline: the round-robin scan calls it for every bank). */
+    void fill(std::uint32_t b)
+    {
+        if (!ongoing_[b] && !queues_[b].empty())
+            fillSlot(b);
+    }
+
+    /** Move the intra-bank order's pick into bank @p b's empty slot. */
+    void fillSlot(std::uint32_t b);
+
+    /** Issue bank @p b's candidate's next transaction. */
+    Issued serve(std::uint32_t b, Tick now);
 
     /** Is a drain-mode flip due given the current counts? */
     bool flipPending() const;
 
+    const Shape shape_;
     std::vector<FlatQueue<MemAccess *>> queues_; //!< unified, per bank
     std::vector<MemAccess *> ongoing_;           //!< per bank
+    std::uint32_t rr_ = 0; //!< bank whose column access issued last
     std::size_t reads_ = 0;
     std::size_t writes_ = 0;
 
@@ -145,6 +229,73 @@ class ContentionScheduler : public Scheduler
     bool drainMode_ = false;
     Tick turnUntil_ = 0; //!< policy bus-turnaround hold after a flip
     std::uint64_t drainFlips_ = 0;
+};
+
+/** BkInOrder: arrival order within a bank, round robin across banks. */
+class BkInOrderPolicy : public ContentionScheduler
+{
+  public:
+    explicit BkInOrderPolicy(const SchedulerContext &ctx)
+        : ContentionScheduler(ctx, {.pick = InterBank::RoundRobin,
+                                    .fifo = true,
+                                    .watermarkAxis = false})
+    {
+    }
+};
+
+/** RowHit: the oldest open-row access first within a bank, else the
+ *  oldest; round robin across banks. */
+class RowHitPolicy : public ContentionScheduler
+{
+  public:
+    explicit RowHitPolicy(const SchedulerContext &ctx)
+        : ContentionScheduler(ctx, {.pick = InterBank::RoundRobin,
+                                    .watermarkAxis = false})
+    {
+    }
+
+  protected:
+    std::size_t fillPick(std::uint32_t b) const override;
+};
+
+/**
+ * AdaptiveHistory (Hur & Lin, simplified): row hit first within a
+ * 4-deep window; across banks the highest history score wins — steer
+ * the scheduled read/write mix toward the arrival mix, avoid the two
+ * most recently served banks, weakly prefer row hits — with the older
+ * access winning a tie.
+ */
+class AdaptiveHistoryPolicy : public ContentionScheduler
+{
+  public:
+    explicit AdaptiveHistoryPolicy(const SchedulerContext &ctx)
+        : ContentionScheduler(ctx, {.watermarkAxis = false})
+    {
+    }
+
+  protected:
+    bool beats(const MemAccess *a, const MemAccess *b) const override;
+    std::size_t fillPick(std::uint32_t b) const override;
+    void onEnqueued(MemAccess *a) override;
+    void onColumnIssued(MemAccess *a) override;
+    void familyStats(std::map<std::string, double> &out) const override;
+
+  private:
+    /** History-match score of serving @p a next (higher = better). */
+    double scoreOf(const MemAccess *a) const;
+
+    /** Read share of the arrival mix minus that of the served mix. */
+    double readDeficit() const;
+
+    // Decayed arrival and service mixes.
+    double readArrivals_ = 1.0;
+    double writeArrivals_ = 1.0;
+    double readsScheduled_ = 1.0;
+    double writesScheduled_ = 1.0;
+
+    std::uint32_t lastBank_ = ~0u;
+    std::uint32_t prevBank_ = ~0u;
+    std::uint64_t mixSteered_ = 0; //!< picks that corrected the mix
 };
 
 /** FR-FCFS: ready row hits first across banks, then oldest arrival. */

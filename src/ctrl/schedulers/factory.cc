@@ -1,12 +1,9 @@
 #include "ctrl/schedulers/factory.hh"
 
 #include "common/error.hh"
-#include "ctrl/schedulers/bk_in_order.hh"
 #include "ctrl/schedulers/contention.hh"
-#include "ctrl/schedulers/history.hh"
 #include "ctrl/schedulers/burst.hh"
 #include "ctrl/schedulers/intel.hh"
-#include "ctrl/schedulers/row_hit.hh"
 
 namespace bsim::ctrl
 {
@@ -16,9 +13,9 @@ makeScheduler(Mechanism m, const SchedulerContext &ctx)
 {
     switch (m) {
       case Mechanism::BkInOrder:
-        return std::make_unique<BkInOrderScheduler>(ctx);
+        return std::make_unique<BkInOrderPolicy>(ctx);
       case Mechanism::RowHit:
-        return std::make_unique<RowHitScheduler>(ctx);
+        return std::make_unique<RowHitPolicy>(ctx);
       case Mechanism::Intel:
       case Mechanism::IntelRP:
         return std::make_unique<IntelScheduler>(ctx);
@@ -28,7 +25,7 @@ makeScheduler(Mechanism m, const SchedulerContext &ctx)
       case Mechanism::BurstTH:
         return std::make_unique<BurstScheduler>(ctx);
       case Mechanism::AdaptiveHistory:
-        return std::make_unique<AdaptiveHistoryScheduler>(ctx);
+        return std::make_unique<AdaptiveHistoryPolicy>(ctx);
       case Mechanism::FrFcfs:
         return std::make_unique<FrFcfsScheduler>(ctx);
       case Mechanism::Parbs:

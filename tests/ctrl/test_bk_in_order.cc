@@ -97,3 +97,29 @@ TEST(BkInOrder, LatestWriteWinsForwarding)
     auto *w2 = h.add(AccessType::Write, 0, 0, 1, 0); // same block
     EXPECT_EQ(h.sched().findWrite(w2->addr), w2);
 }
+
+TEST(BkInOrder, BacklogAfterIssueIsTimingBoundNeverArbFill)
+{
+    // A FIFO pick reads no bank state, so the slot refills on the
+    // column issue itself: the horizon bounds the new front directly
+    // and never spends a step on an arbitration fill.
+    Harness h(ctrl::Mechanism::BkInOrder);
+    h.sched().setExactBounds(true);
+    auto *first = h.add(AccessType::Read, 0, 0, 1, 0, 0);
+    auto *next = h.add(AccessType::Read, 0, 0, 1, 1, 1);
+    Tick now = 0;
+    for (;; ++now) {
+        ASSERT_LT(now, Tick(1000));
+        const auto issued = h.tick(now);
+        if (issued.columnAccess) {
+            ASSERT_EQ(issued.access, first);
+            break;
+        }
+    }
+    const dram::Command cmd{h.mem().nextCmdFor(next->coords, next->type),
+                            next->coords, next->id};
+    const Tick bound = h.mem().readyAt(cmd, now);
+    ASSERT_GT(bound, now); // tCCD keeps the next column access out
+    EXPECT_EQ(h.sched().nextEventTick(now), bound);
+    EXPECT_EQ(h.sched().lastHorizonPin(), ctrl::HorizonPin::Timing);
+}

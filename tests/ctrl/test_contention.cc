@@ -10,12 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "ctrl/schedulers/factory.hh"
 #include "obs/observability.hh"
 #include "sim/experiment.hh"
+#include "sim/report.hh"
 
 #include "sched_test_util.hh"
 #include "sim_error_util.hh"
@@ -222,6 +224,29 @@ TEST(WatermarkDrain, OffByDefaultAndGloballyInsensitiveWithoutIt)
     params.watermarkDrain = true;
     Harness wd(ctrl::Mechanism::FrFcfs, schedtest::smallDram(), params);
     EXPECT_TRUE(wd.sched().globallySensitive());
+
+    // The watermark axis belongs to the contention families alone: the
+    // baselines on the same chassis ignore the flag entirely.
+    for (ctrl::Mechanism m :
+         {ctrl::Mechanism::BkInOrder, ctrl::Mechanism::RowHit,
+          ctrl::Mechanism::AdaptiveHistory}) {
+        Harness base(m, schedtest::smallDram(), params);
+        EXPECT_FALSE(base.sched().globallySensitive())
+            << ctrl::mechanismName(m);
+
+        std::string json[2];
+        for (bool drain : {false, true}) {
+            sim::ExperimentConfig cfg;
+            cfg.workload = "mcf";
+            cfg.mechanism = m;
+            cfg.instructions = 4000;
+            cfg.watermarkDrain = drain;
+            std::ostringstream os;
+            sim::writeResultJson(os, sim::runExperiment(cfg));
+            json[drain] = os.str();
+        }
+        EXPECT_EQ(json[0], json[1]) << ctrl::mechanismName(m);
+    }
 }
 
 // ---------------------------------------------------------------------

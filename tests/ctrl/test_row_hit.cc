@@ -101,3 +101,38 @@ TEST(RowHit, BanksServedRoundRobin)
     (void)a0;
     (void)a1;
 }
+
+TEST(RowHit, SlotFillsOnlyWhenTheRotationReachesItsBank)
+{
+    // Bank B (flat bank 0) is open on row 1 and holds an older conflict
+    // (row 2); bank A (flat bank 1) wins the next rotation. B's slot
+    // must stay empty through that tick, so a row-1 access arriving
+    // right after it is the open-row hit B serves first. Filling every
+    // slot up front would have committed B to the conflict.
+    Harness h(ctrl::Mechanism::RowHit);
+    auto *opener = h.add(AccessType::Read, 0, 0, 1, 0, 0);
+    auto *conflict = h.add(AccessType::Read, 0, 0, 2, 0, 1);
+    Tick now = 0;
+    for (;; ++now) {
+        ASSERT_LT(now, Tick(1000));
+        const auto issued = h.tick(now);
+        if (issued.columnAccess) {
+            ASSERT_EQ(issued.access, opener);
+            break;
+        }
+    }
+    ++now;
+    auto *other = h.add(AccessType::Read, 0, 1, 5, 0, now);
+    const auto act = h.tick(now);
+    ASSERT_EQ(act.access, other); // A's activate wins the rotation
+    ASSERT_FALSE(act.columnAccess);
+    ++now;
+    auto *hit = h.add(AccessType::Read, 0, 0, 1, 1, now);
+    std::vector<ctrl::MemAccess *> bank_b;
+    for (ctrl::MemAccess *a : h.drain(now))
+        if (a != other)
+            bank_b.push_back(a);
+    ASSERT_EQ(bank_b.size(), 2u);
+    EXPECT_EQ(bank_b[0], hit);
+    EXPECT_EQ(bank_b[1], conflict);
+}
