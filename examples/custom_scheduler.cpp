@@ -70,7 +70,7 @@ class ClosedRowFirstScheduler : public ctrl::Scheduler
                 const auto outcome = ctx_.mem->classify(a->coords);
                 if (pass == 0 && outcome == dram::RowOutcome::Conflict)
                     continue;
-                if (!canIssueFor(a, now))
+                if (probeFor(a, now).readyAt > now)
                     continue;
                 Issued out = issueFor(a, now);
                 if (out.columnAccess) {

@@ -191,10 +191,10 @@ class MemoryController
 
     /**
      * Bulk-apply the dead span [@p from, @p from + @p span): per-cycle
-     * occupancy samples, stall attribution (one stallScan stands for
-     * every cycle of the span), idempotent idle-tick scheduler effects,
-     * and the tick counter. Only legal when nextEventTick(@p from) is
-     * at least @p from + @p span.
+     * occupancy samples, stall attribution (see accountIdle()),
+     * idempotent idle-tick scheduler effects, and the tick counter.
+     * Only legal when nextEventTick(@p from) is at least
+     * @p from + @p span.
      */
     void tickSpan(Tick from, Tick span);
 
@@ -315,9 +315,17 @@ class MemoryController
             m.signature = schedulers_[channel]->globalSignature();
     }
 
-    /** Propagate engine flags to every scheduler (exact bounds are only
-     *  sound without per-cycle stall attribution; see Scheduler). */
+    /** Propagate engine flags to every scheduler. */
     void refreshEngineFlags();
+
+    /**
+     * Stall-attribute channel @p channel's idle ticks
+     * [@p from, @p from + @p span), in which its scheduler issues
+     * nothing: one stallScan classifies the ticks up to the earliest
+     * tick its device causes hold until (or the span end), then the
+     * next scan takes over. A stepped idle tick is the one-tick case.
+     */
+    void accountIdle(std::uint32_t channel, Tick from, Tick span);
 
     /** Take a recycled arena slot (or grow the arena) for a new access. */
     MemAccess *allocAccess();

@@ -19,11 +19,23 @@ Scheduler::stallScan(Tick now, obs::StallAttribution &sink) const
                      : dram::StallCause::NoWork;
 }
 
+dram::StallCause
+Scheduler::noteBankProbe(std::uint32_t b, const MemAccess *a, Tick now,
+                         obs::StallAttribution &sink) const
+{
+    const dram::Probe p = probeFor(a, now);
+    const dram::StallCause c =
+        p.cause == dram::StallCause::None ? dram::StallCause::ArbLoss
+                                          : p.cause;
+    sink.noteBankStall(ctx_.channel, b, c, p.causeUntil);
+    return c;
+}
+
 Tick
 Scheduler::bankBound(std::uint32_t b, const MemAccess *a, Tick now) const
 {
     if (!cacheOn())
-        return boundFor(a, now);
+        return probeFor(a, now).readyAt;
     if (boundEpoch_[b] == cmdEpoch_) {
         if (intro_)
             intro_->noteFrontHorizonHit();
@@ -31,7 +43,7 @@ Scheduler::bankBound(std::uint32_t b, const MemAccess *a, Tick now) const
         // unchanged (same epoch) and readyAt floors at now.
         return std::max(now, boundTick_[b]);
     }
-    const Tick bound = boundFor(a, now);
+    const Tick bound = probeFor(a, now).readyAt;
     boundTick_[b] = bound;
     boundEpoch_[b] = cmdEpoch_;
     if (intro_)

@@ -195,7 +195,13 @@ class Scheduler
      * cycles where tick() issued nothing (and stall attribution is on),
      * never on the issue path. Returns the channel-level stall cause —
      * what blocked the access the policy would have served — and may
-     * deepen it with per-bank causes via @p sink.noteBankStall().
+     * deepen it with per-bank causes via @p sink.noteBankStall(). Every
+     * device cause is noted with the tick it holds until (see
+     * noteBankProbe()): the controller books the scan's result up to
+     * the earliest of those ticks, then scans again, so a skipped span
+     * is classified exactly as the step engine classifies each cycle.
+     * Policy causes need no such tick; they only change at ticks the
+     * horizon never skips.
      *
      * The default cannot see policy queues, so it reports the coarse
      * split only: ArbLoss when work exists, NoWork otherwise.
@@ -266,14 +272,11 @@ class Scheduler
     virtual void setHorizonMemo(bool on) { horizonMemo_ = on; }
 
     /**
-     * Use exact max-composed issue bounds (MemorySystem::readyAt)
-     * instead of the first-binding blockedUntil. The controller enables
-     * this for event-driven runs without per-cycle stall attribution:
-     * attribution spans must stop at stall-cause flip points, exact
-     * bounds deliberately do not. The bound cache requires exact bounds
-     * (a first-binding bound that has expired proves nothing).
+     * Retired engine flag, kept so decorators that forward it still
+     * build: issue bounds are always the exact MemorySystem::probe()
+     * readyAt, whatever the observability pillars. A no-op.
      */
-    virtual void setExactBounds(bool on) { exactBounds_ = on; }
+    virtual void setExactBounds(bool on) { (void)on; }
 
     /**
      * A band signature over the global counters this policy's
@@ -359,58 +362,34 @@ class Scheduler
         return ctx_.mem->nextCmdFor(a->coords, a->type);
     }
 
-    /** May @p a's next transaction issue at @p now? */
-    bool
-    canIssueFor(const MemAccess *a, Tick now) const
+    /**
+     * The one timing probe of @p a's next transaction at @p now (see
+     * MemorySystem::probe): `readyAt <= now` is the legality predicate,
+     * readyAt is the exact wake tick, and cause / causeUntil explain a
+     * stall and say how long that explanation holds.
+     */
+    dram::Probe
+    probeFor(const MemAccess *a, Tick now) const
     {
         obs::prof::Scope prof(obs::prof::Phase::TimingCheck);
-        dram::Command cmd{nextCmd(a), a->coords, a->id};
-        return ctx_.mem->canIssue(cmd, now);
-    }
-
-    /** First constraint blocking @p a's next transaction at @p now. */
-    dram::StallCause
-    blockOf(const MemAccess *a, Tick now) const
-    {
-        dram::Command cmd{nextCmd(a), a->coords, a->id};
-        return ctx_.mem->whyBlocked(cmd, now);
-    }
-
-    /** When @p a's currently-binding constraint expires (see
-     *  MemorySystem::blockedUntil); @p now when already issuable. */
-    Tick
-    blockedUntilFor(const MemAccess *a, Tick now) const
-    {
-        obs::prof::Scope prof(obs::prof::Phase::TimingCheck);
-        dram::Command cmd{nextCmd(a), a->coords, a->id};
-        return ctx_.mem->blockedUntil(cmd, now);
+        return ctx_.mem->probe({nextCmd(a), a->coords, a->id}, now);
     }
 
     /**
-     * The engine-facing issue bound for @p a at @p now: the exact
-     * earliest issue tick (readyAt) under exact bounds, the
-     * first-binding blockedUntil otherwise. In both modes
-     * `boundFor(a, now) <= now` is exactly `canIssueFor(a, now)`, so
-     * one call serves as legality probe and horizon source at once.
+     * Stall-scan step for bank @p b's candidate @p a: probe it, book
+     * the binding cause on @p sink together with the tick it holds
+     * until, and return the cause. A candidate free to issue that did
+     * not issue lost arbitration (ArbLoss).
      */
-    Tick
-    boundFor(const MemAccess *a, Tick now) const
-    {
-        obs::prof::Scope prof(obs::prof::Phase::TimingCheck);
-        dram::Command cmd{nextCmd(a), a->coords, a->id};
-        return exactBounds_ ? ctx_.mem->readyAt(cmd, now)
-                            : ctx_.mem->blockedUntil(cmd, now);
-    }
+    dram::StallCause noteBankProbe(std::uint32_t b, const MemAccess *a,
+                                   Tick now,
+                                   obs::StallAttribution &sink) const;
 
-    /** Is the per-bank bound cache usable? Requires exact bounds:
-     *  every constraint readyAt() composes is a fixed deadline moved
-     *  only by this channel's own commands, so a cached bound stays
-     *  *equal* to a fresh computation until invalidateBounds(). */
-    bool
-    cacheOn() const
-    {
-        return eventDriven_ && horizonMemo_ && exactBounds_;
-    }
+    /** Is the per-bank bound cache usable? Every constraint the probe
+     *  composes into readyAt is a fixed deadline moved only by this
+     *  channel's own commands, so a cached bound stays *equal* to a
+     *  fresh computation until invalidateBounds(). */
+    bool cacheOn() const { return eventDriven_ && horizonMemo_; }
 
     /** Every cached bank bound is stale (a command issued on this
      *  channel, a drain gate flipped, a refresh fired). */
@@ -421,11 +400,11 @@ class Scheduler
     void clearBound(std::uint32_t b) const { boundEpoch_[b] = 0; }
 
     /**
-     * Cached boundFor(): returns the exact issue bound for bank @p b's
+     * Cached probeFor() readyAt: the exact issue bound for bank @p b's
      * candidate @p a, reusing the cached value when nothing on this
      * channel changed since it was computed. `result <= now` is the
      * legality predicate; `result > now` is a sound (and exact) wake
-     * tick. Falls back to an uncached boundFor() when the cache is off.
+     * tick. Probes afresh when the cache is off.
      */
     Tick bankBound(std::uint32_t b, const MemAccess *a, Tick now) const;
 
@@ -457,7 +436,6 @@ class Scheduler
     obs::EngineIntrospect *intro_ = nullptr; //!< nullptr = pillar off
     bool eventDriven_ = false; //!< horizon caches allowed (skip engine)
     bool horizonMemo_ = true;  //!< bound caches permitted (debug flag)
-    bool exactBounds_ = false; //!< boundFor() = readyAt, not blockedUntil
     /** Per-bank cached issue bound, valid while boundEpoch_ matches
      *  cmdEpoch_ (exact under the own-channel-command invalidation
      *  discipline; see cacheOn()). */

@@ -76,11 +76,6 @@ class FaultyScheduler : public Scheduler
         Scheduler::setHorizonMemo(on);
         inner_->setHorizonMemo(on);
     }
-    void setExactBounds(bool on) override
-    {
-        Scheduler::setExactBounds(on);
-        inner_->setExactBounds(on);
-    }
     void setAuditor(obs::ProtocolAuditor *auditor) override
     {
         Scheduler::setAuditor(auditor);

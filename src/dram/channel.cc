@@ -47,17 +47,15 @@ Channel::earliestDataStart(std::uint32_t rank, bool is_write,
     return start;
 }
 
-StallCause
-Channel::dataStartBlock(Tick want_by, std::uint32_t rank, bool is_write,
-                        const Timing &t) const
+void
+Channel::probeDataStart(Probe &p, std::uint32_t rank, bool is_write,
+                        Tick lead, const Timing &t) const
 {
-    if (earliestDataStart(rank, is_write, t) <= want_by)
-        return StallCause::None;
-    // Binding constraint: the raw bus occupancy alone, or only the
-    // turnaround gap added on top of it?
-    if (dataFreeAt_ > want_by)
-        return StallCause::TimingDataBus;
-    return StallCause::TimingTurnaround;
+    if (dataFreeAt_ > lead)
+        p.deadline(dataFreeAt_ - lead, StallCause::TimingDataBus);
+    const Tick start = earliestDataStart(rank, is_write, t);
+    if (start > lead)
+        p.deadline(start - lead, StallCause::TimingTurnaround);
 }
 
 void

@@ -59,13 +59,15 @@ class Channel
                            const Timing &t) const;
 
     /**
-     * Why a data burst by @p rank in direction @p is_write cannot start
-     * by @p want_by: TimingDataBus when the bus itself is still busy,
-     * TimingTurnaround when only the tRTRS / tRTW gap pushes the start
-     * past @p want_by, or None when it fits.
+     * Feed the data-bus constraints of a burst by @p rank in direction
+     * @p is_write to @p p, for a command whose burst starts @p lead
+     * ticks after it issues (tCL / tWL): first the bus occupancy itself
+     * (TimingDataBus), then the tRTRS / tRTW gap on top of it
+     * (TimingTurnaround). So a command blocked by a busy bus reports
+     * TimingDataBus until the bus clears, then TimingTurnaround.
      */
-    StallCause dataStartBlock(Tick want_by, std::uint32_t rank,
-                              bool is_write, const Timing &t) const;
+    void probeDataStart(Probe &p, std::uint32_t rank, bool is_write,
+                        Tick lead, const Timing &t) const;
 
     /** Record a data burst [start, start + dataCycles) by @p rank. */
     void useDataBus(Tick start, std::uint32_t rank, bool is_write,

@@ -1,7 +1,5 @@
 #include "dram/memory_system.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 #include "dram/command_log.hh"
 
@@ -124,181 +122,48 @@ MemorySystem::nextCmdFor(const Coords &c, AccessType type) const
     panic("unreachable row outcome");
 }
 
-StallCause
-MemorySystem::whyBlocked(const Command &cmd, Tick now) const
+Probe
+MemorySystem::probe(const Command &cmd, Tick now) const
 {
     const Channel &ch = channels_[cmd.at.channel];
-    if (!ch.cmdBusFree(now))
-        return StallCause::TimingCmdBus;
-
     const Rank &r = ch.rank(cmd.at.rank);
     const Bank &b = r.bank(cmd.at.bank);
     const Timing &t = cfg_.timing;
 
+    Probe p(now);
+    p.deadline(ch.cmdBusFreeAt(), StallCause::TimingCmdBus);
     switch (cmd.type) {
       case CmdType::Precharge:
         if (!b.isOpen())
-            return StallCause::WrongState;
-        if (now < b.preAllowedAt())
-            return b.preBlockCause();
-        return StallCause::None;
+            p.gate(StallCause::WrongState);
+        p.deadline(b.preAllowedAt(), b.preBlockCause());
+        break;
       case CmdType::Activate:
         if (b.isOpen())
-            return StallCause::WrongState;
+            p.gate(StallCause::WrongState);
+        // The drain gate clears only when the refresh engine issues the
+        // pending RefreshAll: an external state change, like WrongState.
         if (refreshDraining(cmd.at.channel, cmd.at.rank))
-            return StallCause::RefreshDrain;
-        if (now < b.actAllowedAt())
-            return b.actBlockCause();
-        return r.activateBlock(now, t);
+            p.gate(StallCause::RefreshDrain);
+        p.deadline(b.actAllowedAt(), b.actBlockCause());
+        break;
       case CmdType::Read:
-        if (!b.isOpen() || b.openRow() != cmd.at.row)
-            return StallCause::WrongState;
-        if (now < b.rdAllowedAt())
-            return StallCause::TimingTRCD;
-        if (!r.canRead(now))
-            return StallCause::TimingTWTR;
-        return ch.dataStartBlock(now + t.tCL, cmd.at.rank, false, t);
       case CmdType::Write:
         if (!b.isOpen() || b.openRow() != cmd.at.row)
-            return StallCause::WrongState;
-        if (now < b.wrAllowedAt())
-            return StallCause::TimingTRCD;
-        return ch.dataStartBlock(now + t.tWL, cmd.at.rank, true, t);
-      case CmdType::RefreshAll: {
-        if (!r.allBanksClosed())
-            return StallCause::WrongState;
-        for (std::uint32_t i = 0; i < r.numBanks(); ++i)
-            if (now < r.bank(i).actAllowedAt())
-                return r.bank(i).actBlockCause();
-        return StallCause::None;
-      }
+            p.gate(StallCause::WrongState);
+        p.deadline(cmd.type == CmdType::Read ? b.rdAllowedAt()
+                                             : b.wrAllowedAt(),
+                   StallCause::TimingTRCD);
+        break;
+      case CmdType::RefreshAll:
+        break;
     }
-    return StallCause::WrongState;
-}
-
-Tick
-MemorySystem::blockedUntil(const Command &cmd, Tick now) const
-{
-    // Mirror whyBlocked()'s branch order exactly and return when the
-    // branch that fires there stops firing. Deadline-style constraints
-    // ("now < X") expire at X; WrongState never expires on its own.
-    const Channel &ch = channels_[cmd.at.channel];
-    if (!ch.cmdBusFree(now))
-        return ch.cmdBusFreeAt();
-
-    const Rank &r = ch.rank(cmd.at.rank);
-    const Bank &b = r.bank(cmd.at.bank);
-    const Timing &t = cfg_.timing;
-
-    switch (cmd.type) {
-      case CmdType::Precharge:
-        if (!b.isOpen())
-            return kTickMax;
-        if (now < b.preAllowedAt())
-            return b.preAllowedAt();
-        return now;
-      case CmdType::Activate:
-        if (b.isOpen())
-            return kTickMax;
-        // A drain gate only clears when the refresh engine issues the
-        // pending RefreshAll — an external state change, like WrongState.
-        if (refreshDraining(cmd.at.channel, cmd.at.rank))
-            return kTickMax;
-        if (now < b.actAllowedAt())
-            return b.actAllowedAt();
-        return r.activateBlockedUntil(now, t);
-      case CmdType::Read:
-        if (!b.isOpen() || b.openRow() != cmd.at.row)
-            return kTickMax;
-        if (now < b.rdAllowedAt())
-            return b.rdAllowedAt();
-        if (!r.canRead(now))
-            return r.readAllowedAt();
-        if (ch.dataStartBlock(now + t.tCL, cmd.at.rank, false, t) !=
-            StallCause::None) {
-            // The reported cause flips from TimingDataBus to
-            // TimingTurnaround when the raw occupancy clears; the
-            // horizon must stop there, not only at full expiry.
-            const Tick expiry =
-                ch.earliestDataStart(cmd.at.rank, false, t) - t.tCL;
-            const Tick flip = ch.dataBusFreeAt() - t.tCL;
-            return flip > now && flip < expiry ? flip : expiry;
-        }
-        return now;
-      case CmdType::Write:
-        if (!b.isOpen() || b.openRow() != cmd.at.row)
-            return kTickMax;
-        if (now < b.wrAllowedAt())
-            return b.wrAllowedAt();
-        if (ch.dataStartBlock(now + t.tWL, cmd.at.rank, true, t) !=
-            StallCause::None) {
-            const Tick expiry =
-                ch.earliestDataStart(cmd.at.rank, true, t) - t.tWL;
-            const Tick flip = ch.dataBusFreeAt() - t.tWL;
-            return flip > now && flip < expiry ? flip : expiry;
-        }
-        return now;
-      case CmdType::RefreshAll: {
-        if (!r.allBanksClosed())
-            return kTickMax;
-        for (std::uint32_t i = 0; i < r.numBanks(); ++i)
-            if (now < r.bank(i).actAllowedAt())
-                return r.bank(i).actAllowedAt();
-        return now;
-      }
-    }
-    return kTickMax;
-}
-
-Tick
-MemorySystem::readyAt(const Command &cmd, Tick now) const
-{
-    // Max-compose every deadline-style constraint instead of stopping at
-    // the first binding one: the result is the exact earliest legal
-    // issue tick, so event-driven callers need no re-poll chain. State
-    // gates (wrong row, drain) still return kTickMax — only another
-    // command clears them.
-    const Channel &ch = channels_[cmd.at.channel];
-    const Rank &r = ch.rank(cmd.at.rank);
-    const Bank &b = r.bank(cmd.at.bank);
-    const Timing &t = cfg_.timing;
-
-    Tick ready = std::max(now, ch.cmdBusFreeAt());
-    switch (cmd.type) {
-      case CmdType::Precharge:
-        if (!b.isOpen())
-            return kTickMax;
-        return std::max(ready, b.preAllowedAt());
-      case CmdType::Activate:
-        if (b.isOpen())
-            return kTickMax;
-        if (refreshDraining(cmd.at.channel, cmd.at.rank))
-            return kTickMax;
-        return r.activateReadyAt(std::max(ready, b.actAllowedAt()), t);
-      case CmdType::Read: {
-        if (!b.isOpen() || b.openRow() != cmd.at.row)
-            return kTickMax;
-        ready = std::max(ready, b.rdAllowedAt());
-        ready = std::max(ready, r.readAllowedAt());
-        const Tick eds = ch.earliestDataStart(cmd.at.rank, false, t);
-        return eds > ready + t.tCL ? eds - t.tCL : ready;
-      }
-      case CmdType::Write: {
-        if (!b.isOpen() || b.openRow() != cmd.at.row)
-            return kTickMax;
-        ready = std::max(ready, b.wrAllowedAt());
-        const Tick eds = ch.earliestDataStart(cmd.at.rank, true, t);
-        return eds > ready + t.tWL ? eds - t.tWL : ready;
-      }
-      case CmdType::RefreshAll: {
-        if (!r.allBanksClosed())
-            return kTickMax;
-        for (std::uint32_t i = 0; i < r.numBanks(); ++i)
-            ready = std::max(ready, r.bank(i).actAllowedAt());
-        return ready;
-      }
-    }
-    return kTickMax;
+    r.probe(p, cmd.type, t);
+    if (cmd.type == CmdType::Read)
+        ch.probeDataStart(p, cmd.at.rank, false, t.tCL, t);
+    else if (cmd.type == CmdType::Write)
+        ch.probeDataStart(p, cmd.at.rank, true, t.tWL, t);
+    return p;
 }
 
 IssueResult

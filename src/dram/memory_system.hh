@@ -1,10 +1,11 @@
 /**
  * @file
  * Top-level SDRAM device model: channels -> ranks -> banks plus the shared
- * busses, behind a two-call interface (canIssue / issue) that enforces
- * every timing constraint. Scheduling policies can only reorder; they can
- * never violate device timing, so differences between access reordering
- * mechanisms are purely ordering decisions, as in the paper.
+ * busses, behind one side-effect-free timing probe and one issue() that
+ * enforces every timing constraint. Scheduling policies can only
+ * reorder; they can never violate device timing, so differences between
+ * access reordering mechanisms are purely ordering decisions, as in the
+ * paper.
  */
 
 #ifndef BURSTSIM_DRAM_MEMORY_SYSTEM_HH
@@ -39,7 +40,7 @@ struct IssueResult
  *
  * One command may issue per channel per cycle (split-transaction
  * command/address bus); column accesses additionally reserve the
- * channel's data bus. All checks are side-effect free via canIssue();
+ * channel's data bus. All checks are side-effect free via probe();
  * issue() applies the command and panics on any violation, so a buggy
  * scheduler fails loudly rather than silently cheating.
  */
@@ -92,45 +93,32 @@ class MemorySystem
         return channels_[channel].cmdBusFree(now);
     }
 
+    /**
+     * One walk over every constraint on @p cmd at @p now, in a fixed
+     * check order: command bus, bank state and bank windows, the rank's
+     * tRRD / tFAW / tWTR, then the data bus and its turnaround gap.
+     * Returns the exact earliest issue tick (the max of every deadline;
+     * kTickMax behind a state gate such as a wrong row or a refresh
+     * drain), the first binding cause, and the tick that cause expires
+     * or flips. Every constraint is a fixed deadline that only a later
+     * command on the same channel (or a drain-gate flip) can move: that
+     * keeps readyAt exact for the schedulers' per-bank bound caches and
+     * causeUntil exact for the stall accountant's span splits.
+     */
+    Probe probe(const Command &cmd, Tick now) const;
+
     /** May @p cmd legally issue at @p now? (includes command bus) */
     bool
     canIssue(const Command &cmd, Tick now) const
     {
-        return whyBlocked(cmd, now) == StallCause::None;
+        return probe(cmd, now).cause == StallCause::None;
     }
 
-    /**
-     * The first constraint blocking @p cmd at @p now, or None when the
-     * command may issue. The checks mirror canIssue()'s historical
-     * branch order exactly, so `whyBlocked(...) == None` is the legality
-     * predicate and the reason costs nothing extra on the issue path.
-     */
-    StallCause whyBlocked(const Command &cmd, Tick now) const;
-
-    /**
-     * First tick at which the constraint whyBlocked() reports for @p cmd
-     * expires: @p now when the command may already issue, kTickMax for
-     * WrongState (only another command changes bank state), otherwise
-     * the end of the binding timing window. A later check in the branch
-     * order may still block at that tick — callers re-poll — so the
-     * result may undershoot the true issue tick but never overshoots a
-     * state change (the event-horizon contract; see docs/performance.md).
-     */
-    Tick blockedUntil(const Command &cmd, Tick now) const;
-
-    /**
-     * The exact first tick >= @p now at which @p cmd may legally issue
-     * given current device state (kTickMax for WrongState / drain
-     * gates). Unlike blockedUntil() — which stops at the binding
-     * constraint's expiry and at stall-cause flip points so span-based
-     * stall attribution stays cycle-exact — this composes every
-     * deadline-style constraint with max(), so callers need not
-     * re-poll. Every constraint is a fixed deadline that only future
-     * commands on the same channel can move, which is what makes the
-     * schedulers' per-bank bound caches exact (see ctrl/scheduler.hh).
-     * Only sound when per-cycle stall causes are not being attributed.
-     */
-    Tick readyAt(const Command &cmd, Tick now) const;
+    /** Exact first tick >= @p now at which @p cmd may issue. */
+    Tick readyAt(const Command &cmd, Tick now) const
+    {
+        return probe(cmd, now).readyAt;
+    }
 
     /** Issue @p cmd at @p now; panics if illegal. */
     IssueResult issue(const Command &cmd, Tick now);

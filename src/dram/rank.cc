@@ -3,51 +3,34 @@
 namespace bsim::dram
 {
 
-StallCause
-Rank::activateBlock(Tick now, const Timing &t) const
+void
+Rank::probe(Probe &p, CmdType type, const Timing &t) const
 {
-    if (anyActYet_ && t.tRRD && now < lastActAt_ + t.tRRD)
-        return StallCause::TimingTRRD;
-    if (t.tFAW) {
-        // The oldest entry in the 4-deep window is the 4th-last activate;
-        // a 5th activate must wait tFAW past it.
-        const Tick fourth_last = actWindow_[actWindowPos_];
-        if (fourth_last != 0 && now < fourth_last + t.tFAW)
-            return StallCause::TimingTFAW;
+    switch (type) {
+      case CmdType::Activate:
+        if (anyActYet_ && t.tRRD)
+            p.deadline(lastActAt_ + t.tRRD, StallCause::TimingTRRD);
+        // The oldest entry in the 4-deep window is the 4th-last
+        // activate; a 5th activate must wait tFAW past it.
+        if (t.tFAW && actWindow_[actWindowPos_] != 0)
+            p.deadline(actWindow_[actWindowPos_] + t.tFAW,
+                       StallCause::TimingTFAW);
+        break;
+      case CmdType::Read:
+        p.deadline(rdAllowedAt_, StallCause::TimingTWTR);
+        break;
+      case CmdType::RefreshAll:
+        if (!allBanksClosed()) {
+            p.gate(StallCause::WrongState);
+            break;
+        }
+        for (const auto &b : banks_)
+            p.deadline(b.actAllowedAt(), b.actBlockCause());
+        break;
+      case CmdType::Precharge:
+      case CmdType::Write:
+        break;
     }
-    return StallCause::None;
-}
-
-Tick
-Rank::activateBlockedUntil(Tick now, const Timing &t) const
-{
-    // Mirror activateBlock()'s check order exactly: the returned tick is
-    // when the *reported* constraint expires, not the overall earliest
-    // legal activate (tFAW may still bind after tRRD clears — callers
-    // re-poll, so a conservative undershoot is correct, an overshoot is
-    // not).
-    if (anyActYet_ && t.tRRD && now < lastActAt_ + t.tRRD)
-        return lastActAt_ + t.tRRD;
-    if (t.tFAW) {
-        const Tick fourth_last = actWindow_[actWindowPos_];
-        if (fourth_last != 0 && now < fourth_last + t.tFAW)
-            return fourth_last + t.tFAW;
-    }
-    return now;
-}
-
-Tick
-Rank::activateReadyAt(Tick from, const Timing &t) const
-{
-    Tick ready = from;
-    if (anyActYet_ && t.tRRD && lastActAt_ + t.tRRD > ready)
-        ready = lastActAt_ + t.tRRD;
-    if (t.tFAW) {
-        const Tick fourth_last = actWindow_[actWindowPos_];
-        if (fourth_last != 0 && fourth_last + t.tFAW > ready)
-            ready = fourth_last + t.tFAW;
-    }
-    return ready;
 }
 
 void

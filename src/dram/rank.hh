@@ -13,6 +13,8 @@
 
 #include "common/types.hh"
 #include "dram/bank.hh"
+#include "dram/command.hh"
+#include "dram/stall.hh"
 #include "dram/timing.hh"
 
 namespace bsim::dram
@@ -35,32 +37,22 @@ class Rank
         return std::uint32_t(banks_.size());
     }
 
+    /**
+     * Feed the rank-level constraints of a @p type command to @p p:
+     * tRRD then tFAW for an ACTIVATE, tWTR for a READ, and for a
+     * REFRESH the all-banks-closed gate plus every bank's activate
+     * deadline. Other commands have no rank-level constraint.
+     */
+    void probe(Probe &p, CmdType type, const Timing &t) const;
+
     /** Rank-level check: may an ACTIVATE issue at @p now? (tRRD, tFAW) */
     bool
     canActivate(Tick now, const Timing &t) const
     {
-        return activateBlock(now, t) == StallCause::None;
+        Probe p(now);
+        probe(p, CmdType::Activate, t);
+        return p.cause == StallCause::None;
     }
-
-    /**
-     * Which rank-level constraint blocks an ACTIVATE at @p now:
-     * TimingTRRD, TimingTFAW, or None when unblocked.
-     */
-    StallCause activateBlock(Tick now, const Timing &t) const;
-
-    /**
-     * First tick at which the constraint reported by activateBlock()
-     * expires: the tRRD window end when tRRD binds, the tFAW window end
-     * when tFAW binds, or @p now when neither blocks.
-     */
-    Tick activateBlockedUntil(Tick now, const Timing &t) const;
-
-    /**
-     * Exact earliest tick >= @p from at which both rank-level activate
-     * windows (tRRD and tFAW) are open — the max-composition of the two
-     * deadlines activateBlockedUntil() reports one at a time.
-     */
-    Tick activateReadyAt(Tick from, const Timing &t) const;
 
     /** Rank-level check: may a READ issue at @p now? (tWTR) */
     bool canRead(Tick now) const { return now >= rdAllowedAt_; }

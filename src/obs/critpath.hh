@@ -115,18 +115,12 @@ class CritPathTracer
                    bool column_access, Tick data_start, Tick data_end);
 
     /**
-     * Channel @p ch's slot sat idle at @p now for @p cause; @p victim is
-     * the blocked access the scheduler's stall scan nominated (nullptr
-     * when the cause has no specific queued access behind it).
-     */
-    void noteStall(std::uint32_t ch, Tick now, dram::StallCause cause,
-                   const ctrl::MemAccess *victim);
-
-    /**
-     * Bulk form of noteStall() for the skip engine's dead span
-     * [@p from, @p from + @p span): charges exactly as @p span
-     * successive noteStall() calls would, segmenting across booked
-     * burst edges so the blame is byte-identical to the step engine.
+     * Channel @p ch's slot sat idle over [@p from, @p from + @p span)
+     * for @p cause; @p victim is the blocked access the scheduler's
+     * stall scan nominated (nullptr when the cause has no specific
+     * queued access behind it). Charges exactly as @p span one-tick
+     * calls would, segmenting across booked burst edges so the blame
+     * is byte-identical to the step engine.
      */
     void noteStallSpan(std::uint32_t ch, Tick from, Tick span,
                        dram::StallCause cause,
@@ -220,8 +214,11 @@ class CritPathTracer
         std::uint64_t owner; //!< valid when attr == DataTransfer
     };
 
-    Applied apply(Ledger &led, Tick now, bool slot_used,
-                  dram::StallCause cause);
+    /** Move booked bursts that started by @p t into the streaming
+     *  window, carrying the owner along for the back-pointer. */
+    static void promote(Ledger &led, Tick t);
+    /** Book one cycle in which @p led's command slot was used. */
+    static void useSlot(Ledger &led, Tick now);
     void chargeVictim(const ctrl::MemAccess *victim, Applied ap,
                       std::uint64_t n);
     void finalize(const ctrl::MemAccess &a, Completed &&c);

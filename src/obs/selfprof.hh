@@ -35,7 +35,7 @@ enum class Phase : std::uint8_t
     FsbAdmit,      //!< front-side bus arbitration / admission
     CtrlTick,      //!< MemoryController::tick / tickSpan
     SchedPick,     //!< Scheduler::tick (the pick itself)
-    TimingCheck,   //!< canIssue / blockedUntil probes into the engine
+    TimingCheck,   //!< Scheduler::probeFor timing probes into the engine
     StallScan,     //!< stall-attribution scans on idle slots
     RefreshEngine, //!< refresh due/drain handling
     Horizon,       //!< System::skipHorizon

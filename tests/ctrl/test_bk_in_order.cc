@@ -104,7 +104,6 @@ TEST(BkInOrder, BacklogAfterIssueIsTimingBoundNeverArbFill)
     // column issue itself: the horizon bounds the new front directly
     // and never spends a step on an arbitration fill.
     Harness h(ctrl::Mechanism::BkInOrder);
-    h.sched().setExactBounds(true);
     auto *first = h.add(AccessType::Read, 0, 0, 1, 0, 0);
     auto *next = h.add(AccessType::Read, 0, 0, 1, 1, 1);
     Tick now = 0;
@@ -118,7 +117,7 @@ TEST(BkInOrder, BacklogAfterIssueIsTimingBoundNeverArbFill)
     }
     const dram::Command cmd{h.mem().nextCmdFor(next->coords, next->type),
                             next->coords, next->id};
-    const Tick bound = h.mem().readyAt(cmd, now);
+    const Tick bound = h.mem().probe(cmd, now).readyAt;
     ASSERT_GT(bound, now); // tCCD keeps the next column access out
     EXPECT_EQ(h.sched().nextEventTick(now), bound);
     EXPECT_EQ(h.sched().lastHorizonPin(), ctrl::HorizonPin::Timing);

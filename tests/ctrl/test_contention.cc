@@ -249,6 +249,26 @@ TEST(WatermarkDrain, OffByDefaultAndGloballyInsensitiveWithoutIt)
     }
 }
 
+TEST(WatermarkDrain, WithoutItARefreshDrainedChannelSleepsUntilRefresh)
+{
+    // Without watermark drain every queued access is eligible, so when
+    // a refresh drain gates every candidate only the refresh command
+    // (which the controller wakes for) can move the channel: the
+    // horizon is kTickMax with no pin, as on the other chassis
+    // policies, never a Conservative poll of every cycle.
+    for (ctrl::Mechanism m :
+         {ctrl::Mechanism::FrFcfs, ctrl::Mechanism::Parbs}) {
+        Harness h(m);
+        h.add(AccessType::Read, 0, 0, 1, 0);
+        h.mem().setRefreshDrain(0, 0, true);
+        EXPECT_EQ(h.tick(0).access, nullptr) << ctrl::mechanismName(m);
+        EXPECT_EQ(h.sched().nextEventTick(0), kTickMax)
+            << ctrl::mechanismName(m);
+        EXPECT_EQ(h.sched().lastHorizonPin(), ctrl::HorizonPin::None)
+            << ctrl::mechanismName(m);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Audit-fatal smoke: every family, every timing variant, with and
 // without watermark drain, must complete a short run without a single

@@ -64,6 +64,23 @@ TEST(Oracles, InjectedFreezeIsCaughtAsNoHang)
     EXPECT_NE(v.detail.find("watchdog"), std::string::npos) << v.detail;
 }
 
+TEST(Oracles, PillarThatForcesWakesIsCaughtAsPillarNeutrality)
+{
+    // Plant the defect the oracle guards against: with stall attribution
+    // on, the run also samples metrics every 7 cycles, and the skip
+    // engine must step every epoch tick. Every other oracle compares
+    // runs that all carry the defect, so only pillar_neutrality sees it.
+    OracleOptions opt;
+    opt.configTweak = [](sim::ExperimentConfig &cfg) {
+        if (cfg.obs.stallAttribution)
+            cfg.obs.metricsInterval = 7;
+    };
+    opt.crossScheduler = false;
+    const OracleVerdict v = checkPoint(defaultPoint(), opt);
+    ASSERT_FALSE(v.ok);
+    EXPECT_EQ(v.oracle, "pillar_neutrality") << v.detail;
+}
+
 TEST(Oracles, InlineTracePointPasses)
 {
     FuzzPoint p;
