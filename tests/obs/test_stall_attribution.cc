@@ -34,18 +34,18 @@ TEST(StallAttribution, ClassificationPriority)
 
     // A read issues at 0 with its burst at [5, 9).
     sa.noteBurst(0, 5, 9);
-    sa.account(0, 0, true, StallCause::None); // prep_issue
+    sa.useSlot(0, 0); // prep_issue
     // 1-4: command slot idle, only the booked burst outstanding.
     for (Tick t = 1; t < 5; ++t)
-        sa.account(0, t, false, StallCause::NoWork); // pending_data
+        sa.accountSpan(0, t, 1, StallCause::NoWork); // pending_data
     // 5-8: the bus streams; even an issuing slot counts as transfer.
-    sa.account(0, 5, true, StallCause::None);
+    sa.useSlot(0, 5);
     for (Tick t = 6; t < 9; ++t)
-        sa.account(0, t, false, StallCause::NoWork);
+        sa.accountSpan(0, t, 1, StallCause::NoWork);
     // 9: nothing left at all.
-    sa.account(0, 9, false, StallCause::NoWork);
+    sa.accountSpan(0, 9, 1, StallCause::NoWork);
     // 10: a timing stall passes through untouched.
-    sa.account(0, 10, false, StallCause::TimingTRCD);
+    sa.accountSpan(0, 10, 1, StallCause::TimingTRCD);
 
     EXPECT_EQ(sa.count(0, StallCause::PrepIssue), 1u);
     EXPECT_EQ(sa.count(0, StallCause::PendingData), 4u);
@@ -62,8 +62,12 @@ TEST(StallAttribution, TelescopingIdentity)
                                  StallCause::ArbLoss,
                                  StallCause::ThresholdGated};
     for (Tick t = 0; t < 1000; ++t)
-        for (std::uint32_t ch = 0; ch < 2; ++ch)
-            sa.account(ch, t, (t + ch) % 3 == 0, causes[(t + ch) % 4]);
+        for (std::uint32_t ch = 0; ch < 2; ++ch) {
+            if ((t + ch) % 3 == 0)
+                sa.useSlot(ch, t);
+            else
+                sa.accountSpan(ch, t, 1, causes[(t + ch) % 4]);
+        }
 
     const auto totals = sa.totals();
     std::uint64_t sum = 0;
@@ -86,7 +90,7 @@ TEST(StallAttribution, OverlappingBurstsExtendTheBusyHorizon)
     sa.noteBurst(0, 2, 6);
     sa.noteBurst(0, 6, 10);
     for (Tick t = 0; t < 12; ++t)
-        sa.account(0, t, false, StallCause::NoWork);
+        sa.accountSpan(0, t, 1, StallCause::NoWork);
     EXPECT_EQ(sa.count(0, StallCause::DataTransfer), 8u);
     EXPECT_EQ(sa.count(0, StallCause::PendingData), 2u); // cycles 0-1
     EXPECT_EQ(sa.count(0, StallCause::NoWork), 2u);      // cycles 10-11
@@ -95,9 +99,9 @@ TEST(StallAttribution, OverlappingBurstsExtendTheBusyHorizon)
 TEST(StallAttribution, BankBreakdownAppearsInJson)
 {
     StallAttribution sa = twoBankChannel();
-    sa.account(0, 0, false, StallCause::TimingTRP);
-    sa.noteBankStall(0, 1, StallCause::TimingTRP);
-    sa.noteBankStall(0, 1, StallCause::TimingTRP);
+    sa.noteBankStall(0, 1, StallCause::TimingTRP, kTickMax);
+    sa.noteBankStall(0, 1, StallCause::TimingTRP, kTickMax);
+    sa.accountSpan(0, 0, 1, StallCause::TimingTRP);
 
     std::ostringstream os;
     sa.writeJson(os);
@@ -114,14 +118,47 @@ TEST(StallAttribution, JsonIsDeterministic)
     auto run = [] {
         StallAttribution sa = twoBankChannel();
         sa.noteBurst(0, 3, 7);
-        for (Tick t = 0; t < 64; ++t)
-            sa.account(0, t, t % 5 == 0,
-                       t % 2 ? StallCause::TimingTRCD
-                             : StallCause::NoWork);
-        sa.noteBankStall(0, 0, StallCause::TimingTFAW);
+        for (Tick t = 0; t < 64; ++t) {
+            if (t % 5 == 0)
+                sa.useSlot(0, t);
+            else
+                sa.accountSpan(0, t, 1,
+                               t % 2 ? StallCause::TimingTRCD
+                                     : StallCause::NoWork);
+        }
+        sa.noteBankStall(0, 0, StallCause::TimingTFAW, kTickMax);
+        sa.accountSpan(0, 64, 1, StallCause::TimingTFAW);
         std::ostringstream os;
         sa.writeJson(os);
         return os.str();
     };
     EXPECT_EQ(run(), run());
+}
+
+TEST(StallAttribution, ScanNotesCountForEveryCycleOfTheirSpan)
+{
+    StallAttribution sa = twoBankChannel();
+    EXPECT_EQ(sa.scanUntil(), kTickMax);
+    sa.noteBankStall(0, 0, StallCause::TimingTRCD, 40);
+    sa.noteBankStall(0, 1, StallCause::ThresholdGated, kTickMax);
+    EXPECT_EQ(sa.scanUntil(), 40u); // the earliest device deadline
+    sa.accountSpan(0, 30, 10, StallCause::TimingTRCD);
+    EXPECT_EQ(sa.scanUntil(), kTickMax); // the span closed the scan
+    // A note made after the span is not booked by it.
+    sa.noteBankStall(0, 0, StallCause::TimingTRP, 45);
+    sa.accountSpan(0, 40, 5, StallCause::TimingTRP);
+
+    std::ostringstream os;
+    sa.writeJson(os);
+    const auto v = parseJson(os.str());
+    ASSERT_TRUE(v.has_value());
+    const JsonValue &banks = *v->find("banks");
+    ASSERT_EQ(banks.size(), 2u);
+    const JsonValue &b0 = *banks.array[0].find("causes");
+    EXPECT_EQ(b0.find("t_rcd")->number, 10.0);
+    EXPECT_EQ(b0.find("t_rp")->number, 5.0);
+    EXPECT_EQ(banks.array[1].find("causes")->find("threshold_gated")->number,
+              10.0);
+    EXPECT_EQ(sa.count(0, StallCause::TimingTRCD), 10u);
+    EXPECT_EQ(sa.count(0, StallCause::TimingTRP), 5u);
 }
