@@ -149,6 +149,7 @@ MemoryController::MemoryController(dram::MemorySystem &mem,
     }
 
     schedMemo_.resize(dcfg.channels);
+    stallMemo_.resize(dcfg.channels);
     refreshWake_.assign(dcfg.channels, 0);
     chanVersion_.assign(dcfg.channels, 1);
     for (std::uint32_t ch = 0; ch < dcfg.channels; ++ch)
@@ -169,6 +170,12 @@ MemoryController::MemoryController(dram::MemorySystem &mem,
 }
 
 MemoryController::~MemoryController() = default;
+
+obs::EngineIntrospect *
+MemoryController::intro() const
+{
+    return obs_ ? obs_->introspect() : nullptr;
+}
 
 bool
 MemoryController::canAccept() const
@@ -222,8 +229,8 @@ MemoryController::submit(AccessType type, Addr addr, Tick now,
     if (!canAccept())
         panic("submit() while controller cannot accept");
 
-    if (intro_)
-        intro_->noteMemoInvalidate();
+    if (obs::EngineIntrospect *in = intro())
+        in->noteMemoInvalidate();
 
     MemAccess *a = allocAccess();
     a->id = nextId_++;
@@ -270,27 +277,9 @@ MemoryController::submit(AccessType type, Addr addr, Tick now,
         }
         sched.enqueue(a);
     }
-    if (crit_)
-        crit_->onAdmit(*a);
-    if (perCore_) {
-        touchCore(a->tag);
-        if (type == AccessType::Read)
-            coreReadQ_[a->tag] += 1;
-        else
-            coreWriteQ_[a->tag] += 1;
-    }
+    if (obs_)
+        obs_->admit(*a);
     return a->id;
-}
-
-void
-MemoryController::touchCore(std::uint64_t tag)
-{
-    if (tag < coreReadQ_.size())
-        return;
-    coreReadQ_.resize(tag + 1, 0);
-    coreWriteQ_.resize(tag + 1, 0);
-    coreRowHits_.resize(tag + 1, 0);
-    coreRowAccesses_.resize(tag + 1, 0);
 }
 
 void
@@ -307,13 +296,11 @@ MemoryController::tick(Tick now)
                 // Refresh engine used this channel's command slot (and
                 // changed the channel's device state).
                 memo.version = 0;
-                if (intro_)
-                    intro_->noteMemoInvalidate();
+                if (obs::EngineIntrospect *in = intro())
+                    in->noteMemoInvalidate();
                 schedulers_[ch]->onExternalCommand();
-                if (stalls_)
-                    stalls_->useSlot(ch, now);
-                if (crit_)
-                    crit_->noteSlot(ch, now);
+                if (obs_)
+                    obs_->refreshSlot(ch, now);
                 continue;
             }
         }
@@ -322,10 +309,10 @@ MemoryController::tick(Tick now)
             // move is possible strictly before memo.until, so a full
             // scan would be a no-op apart from the idempotent idle-tick
             // effect — replay just that.
-            if (intro_)
-                intro_->noteMemoHit();
+            if (obs::EngineIntrospect *in = intro())
+                in->noteMemoHit();
             schedulers_[ch]->onIdleSpan(now, 1);
-            if (stalls_)
+            if (obs_)
                 accountIdle(ch, now, 1);
             continue;
         }
@@ -334,37 +321,32 @@ MemoryController::tick(Tick now)
             obs::prof::Scope prof(obs::prof::Phase::SchedPick);
             issued = schedulers_[ch]->tick(now);
         }
-        if (stalls_) {
-            if (issued.access) {
-                if (issued.columnAccess)
-                    stalls_->noteBurst(ch, issued.dataStart,
-                                       issued.dataEnd);
-                stalls_->useSlot(ch, now);
-                if (crit_)
-                    crit_->noteIssue(ch, now, *issued.access,
-                                     issued.columnAccess,
-                                     issued.dataStart, issued.dataEnd);
-            } else {
-                accountIdle(ch, now, 1);
-            }
-        }
         if (issued.access) {
+            if (obs_)
+                obs_->issue(ch, now, *issued.access, issued.columnAccess,
+                            issued.dataStart, issued.dataEnd);
             memo.version = 0; // the issue changed channel state
-            if (intro_)
-                intro_->noteMemoInvalidate();
+            if (obs::EngineIntrospect *in = intro())
+                in->noteMemoInvalidate();
             handleIssued(issued);
-        } else if (eventDriven_) {
+            continue;
+        }
+        if (obs_)
+            accountIdle(ch, now, 1);
+        if (eventDriven_) {
             memo.until = schedulers_[ch]->nextEventTick(now);
             stampMemo(ch);
             memo.pin = schedulers_[ch]->lastHorizonPin();
-            if (intro_)
-                intro_->noteMemoMiss();
+            // The stall scan just taken saw the state this memo proves.
+            stallMemo_[ch].gen = memo.gen;
+            if (obs::EngineIntrospect *in = intro())
+                in->noteMemoMiss();
         }
     }
 
     stats_.ticks += 1;
 
-    if (sampler_ && sampler_->epochEnd(now))
+    if (obs_ && obs_->nextEpochEnd(now) == now)
         sampleMetrics(now);
 }
 
@@ -442,13 +424,10 @@ MemoryController::nextEventTick(Tick now, obs::WakeSource *src) const
         consider(schedHorizon(ch, now), reasonOf(schedMemo_[ch].pin),
                  std::int32_t(ch));
 
-    if (sampler_ && horizon > now) {
+    if (obs_ && horizon > now)
         // The epoch-boundary tick must run for real so its snapshot row
         // is emitted at the same tick as in the step engine.
-        const Tick interval = sampler_->interval();
-        consider(now + (interval - 1 - now % interval),
-                 obs::WakeReason::MetricsEpoch);
-    }
+        consider(obs_->nextEpochEnd(now), obs::WakeReason::MetricsEpoch);
     return horizon;
 }
 
@@ -465,10 +444,10 @@ MemoryController::schedHorizon(std::uint32_t channel, Tick now) const
         memo.until = schedulers_[channel]->nextEventTick(now);
         stampMemo(channel);
         memo.pin = schedulers_[channel]->lastHorizonPin();
-        if (intro_)
-            intro_->noteMemoMiss();
-    } else if (intro_) {
-        intro_->noteMemoHit();
+        if (obs::EngineIntrospect *in = intro())
+            in->noteMemoMiss();
+    } else if (obs::EngineIntrospect *in = intro()) {
+        in->noteMemoHit();
     }
     return memo.until;
 }
@@ -483,7 +462,7 @@ MemoryController::tickSpan(Tick from, Tick span)
 
     for (std::uint32_t ch = 0; ch < mem_.numChannels(); ++ch) {
         schedulers_[ch]->onIdleSpan(from, span);
-        if (stalls_)
+        if (obs_)
             accountIdle(ch, from, span);
     }
 
@@ -493,22 +472,33 @@ MemoryController::tickSpan(Tick from, Tick span)
 void
 MemoryController::accountIdle(std::uint32_t channel, Tick from, Tick span)
 {
+    obs::StallAttribution *st = obs_->stalls();
+    if (!st)
+        return;
     // Across idle ticks nothing issues and no policy event fires (the
     // horizon wakes for those), so a scan's inputs change only where a
     // device cause it probed expires or flips: its result stands for
     // every tick before the earliest such causeUntil, exactly as the
-    // step engine would compute it tick by tick.
-    obs::prof::Scope prof(obs::prof::Phase::StallScan);
+    // step engine would compute it tick by tick. It also stands across
+    // stepped ticks while the channel's horizon memo is the one it was
+    // taken under, since nothing on the channel moves before memo.until.
     const Scheduler &sched = *schedulers_[channel];
+    const SchedMemo &memo = schedMemo_[channel];
+    StallMemo &sm = stallMemo_[channel];
     const Tick end = from + span;
     for (Tick t = from; t < end;) {
-        const dram::StallCause cause = sched.stallScan(t, *stalls_);
-        const Tick until =
-            std::clamp(stalls_->scanUntil(), t + 1, end);
-        stalls_->accountSpan(channel, t, until - t, cause);
-        if (crit_)
-            crit_->noteStallSpan(channel, t, until - t, cause,
-                                 sched.lastStallVictim());
+        if (sm.gen == memo.gen && memoValid(channel) && t < memo.until &&
+            t < sm.until) {
+            st->replayScan(channel);
+        } else {
+            obs::prof::Scope prof(obs::prof::Phase::StallScan);
+            sm.cause = sched.stallScan(t, *st);
+            sm.victim = sched.lastStallVictim();
+            sm.until = std::max(st->scanUntil(), t + 1);
+            sm.gen = memoValid(channel) ? memo.gen : 0;
+        }
+        const Tick until = std::min(sm.until, end);
+        obs_->idleSpan(channel, t, until - t, sm.cause, sm.victim);
         t = until;
     }
 }
@@ -529,14 +519,8 @@ MemoryController::completeReads(Tick now)
         }
         counts_.readsOutstanding -= 1;
 
-        if (perCore_) {
-            touchCore(a->tag);
-            coreReadQ_[a->tag] -= 1;
-        }
-        if (lat_)
-            lat_->record(*a);
-        if (crit_)
-            crit_->onComplete(*a);
+        if (obs_)
+            obs_->complete(*a);
         if (readCb_)
             readCb_(*a, now);
         finishAccess(a);
@@ -610,8 +594,8 @@ MemoryController::refreshTick(std::uint32_t channel, Tick now)
             // the channel horizon built on them) are no longer proofs.
             st.draining = true;
             schedMemo_[channel].version = 0;
-            if (intro_)
-                intro_->noteMemoInvalidate();
+            if (obs::EngineIntrospect *in = intro())
+                in->noteMemoInvalidate();
             schedulers_[channel]->onExternalCommand();
         }
 
@@ -667,12 +651,6 @@ MemoryController::handleIssued(const Scheduler::Issued &issued)
     stats_.bankRowAccesses[flat_bank] += 1;
     if (a->outcome == dram::RowOutcome::Hit)
         stats_.bankRowHits[flat_bank] += 1;
-    if (perCore_) {
-        touchCore(a->tag);
-        coreRowAccesses_[a->tag] += 1;
-        if (a->outcome == dram::RowOutcome::Hit)
-            coreRowHits_[a->tag] += 1;
-    }
 
     if (a->isRead()) {
         pendingReads_.emplace(a->dataEnd, a);
@@ -681,12 +659,8 @@ MemoryController::handleIssued(const Scheduler::Issued &issued)
         stats_.writeLatency.sample(double(a->dataEnd - a->arrival));
         stats_.bytesTransferred += mem_.config().blockBytes;
         counts_.writesOutstanding -= 1;
-        if (perCore_)
-            coreWriteQ_[a->tag] -= 1;
-        if (lat_)
-            lat_->record(*a);
-        if (crit_)
-            crit_->onComplete(*a);
+        if (obs_)
+            obs_->complete(*a);
         finishAccess(a);
     }
 }
@@ -716,16 +690,10 @@ MemoryController::attachObservability(obs::Observability *o)
 {
     for (auto &m : schedMemo_)
         m.version = 0;
-    lat_ = o ? o->latency() : nullptr;
-    sampler_ = o ? o->sampler() : nullptr;
-    stalls_ = o ? o->stalls() : nullptr;
-    audit_ = o ? o->auditor() : nullptr;
-    intro_ = o ? o->introspect() : nullptr;
-    crit_ = o ? o->critpath() : nullptr;
-    perCore_ = o && o->config().perCoreMetrics;
+    obs_ = o;
     for (auto &s : schedulers_) {
-        s->setAuditor(audit_);
-        s->setIntrospect(intro_);
+        s->setAuditor(o ? o->auditor() : nullptr);
+        s->setIntrospect(intro());
     }
     refreshEngineFlags();
 }
@@ -764,33 +732,17 @@ MemoryController::sampleMetrics(Tick now)
 
     s.bankRowHits = stats_.bankRowHits;
     s.bankRowAccesses = stats_.bankRowAccesses;
-    if (stalls_) {
-        const auto totals = stalls_->totals();
-        s.stallCounts.assign(totals.begin(), totals.end());
-    }
-    if (intro_) {
-        s.haveEngine = true;
-        s.steppedCycles = intro_->steppedCycles();
-        s.skippedCycles = intro_->skippedCycles();
-    }
-    if (perCore_) {
-        s.coreReadQ = coreReadQ_;
-        s.coreWriteQ = coreWriteQ_;
-        s.coreRowHits = coreRowHits_;
-        s.coreRowAccesses = coreRowAccesses_;
-    }
-
-    sampler_->sample(s);
+    obs_->epoch(s);
 }
 
 void
 MemoryController::flushMetrics(Tick end)
 {
-    if (crit_)
-        crit_->flush(); // push buffered JSONL records to disk
-    if (!sampler_ || end == 0)
+    if (!obs_)
         return;
-    sampleMetrics(end - 1);
+    obs_->flush();
+    if (end && obs_->sampler())
+        sampleMetrics(end - 1);
 }
 
 std::map<std::string, double>

@@ -31,13 +31,8 @@
 
 namespace bsim::obs
 {
-class CritPathTracer;
 class EngineIntrospect;
-class LatencyBreakdown;
-class MetricsSampler;
 class Observability;
-class ProtocolAuditor;
-class StallAttribution;
 struct WakeSource;
 } // namespace bsim::obs
 
@@ -237,9 +232,8 @@ class MemoryController
 
     /**
      * Attach (or detach, with nullptr) the run's observability pillars.
-     * The controller caches raw pointers to the latency breakdown and
-     * metrics sampler; when both are off the hot paths degrade to one
-     * null check each.
+     * Every event goes to @p o, which forwards it to the pillars that
+     * consume it; with no pillar on, each event site is one null check.
      */
     void attachObservability(obs::Observability *o);
 
@@ -292,6 +286,16 @@ class MemoryController
         /** Why `until` is where it is (from the computing scheduler);
          *  carried alongside so memo hits stay attributable. */
         HorizonPin pin = HorizonPin::None;
+        std::uint64_t gen = 0; //!< bumped each time the memo is stamped
+    };
+
+    /** The last stall scan of a channel (stall pillar on). */
+    struct StallMemo
+    {
+        std::uint64_t gen = 0; //!< SchedMemo::gen the scan was taken under
+        Tick until = 0;        //!< the scan's answer stands before this
+        dram::StallCause cause = dram::StallCause::NoWork;
+        const MemAccess *victim = nullptr;
     };
 
     /** Is @p channel's memo still a proof at the current state? */
@@ -313,7 +317,11 @@ class MemoryController
         m.version = chanVersion_[channel];
         if (m.global)
             m.signature = schedulers_[channel]->globalSignature();
+        m.gen += 1;
     }
+
+    /** Engine-introspection pillar; nullptr when off. */
+    obs::EngineIntrospect *intro() const;
 
     /** Propagate engine flags to every scheduler. */
     void refreshEngineFlags();
@@ -321,9 +329,11 @@ class MemoryController
     /**
      * Stall-attribute channel @p channel's idle ticks
      * [@p from, @p from + @p span), in which its scheduler issues
-     * nothing: one stallScan classifies the ticks up to the earliest
-     * tick its device causes hold until (or the span end), then the
-     * next scan takes over. A stepped idle tick is the one-tick case.
+     * nothing (a no-op without the stall pillar): one stallScan
+     * classifies the ticks up to the earliest tick its device causes
+     * hold until (or the span end), then the next scan takes over. A
+     * stepped idle tick is the one-tick case; it reuses the channel's
+     * last scan while that scan's StallMemo still holds.
      */
     void accountIdle(std::uint32_t channel, Tick from, Tick span);
 
@@ -342,8 +352,6 @@ class MemoryController
     bool refreshTick(std::uint32_t channel, Tick now);
     void handleIssued(const Scheduler::Issued &issued);
     void finishAccess(MemAccess *a);
-    /** Ensure the per-requester vectors cover @p tag (perCore_ only). */
-    void touchCore(std::uint64_t tag);
 
     dram::MemorySystem &mem_;
     ControllerConfig cfg_;
@@ -376,23 +384,11 @@ class MemoryController
      *  the global-count bands (covered by the memo signature). */
     std::vector<std::uint64_t> chanVersion_;
     mutable std::vector<SchedMemo> schedMemo_; //!< per channel
+    std::vector<StallMemo> stallMemo_;         //!< per channel
     bool eventDriven_ = false;
 
-    // Observability hooks; null when the respective pillar is off.
-    obs::LatencyBreakdown *lat_ = nullptr;
-    obs::MetricsSampler *sampler_ = nullptr;
-    obs::StallAttribution *stalls_ = nullptr;
-    obs::ProtocolAuditor *audit_ = nullptr;
-    obs::EngineIntrospect *intro_ = nullptr;
-    obs::CritPathTracer *crit_ = nullptr;
-
-    /** Per-requester telemetry (obs perCoreMetrics); indexed by the
-     *  MemAccess tag, grown on first sight of a tag. */
-    bool perCore_ = false;
-    std::vector<std::uint32_t> coreReadQ_;
-    std::vector<std::uint32_t> coreWriteQ_;
-    std::vector<std::uint64_t> coreRowHits_;
-    std::vector<std::uint64_t> coreRowAccesses_;
+    /** The run's event sink; null when no pillar is on. */
+    obs::Observability *obs_ = nullptr;
 };
 
 } // namespace bsim::ctrl

@@ -334,10 +334,9 @@ checkPoint(const FuzzPoint &p, const OracleOptions &opt)
     // Per-access blame identity: rerun both engines with the critical-
     // path tracer on (separate runs — the result JSON gains a
     // critical_path section by design) and require (a) the per-access
-    // telescoping identity, (b) the tracer's internal cycle ledger to
-    // reconcile with the aggregate stall accountant, (c) byte-identical
-    // access streams across engines (FNV digest over the JSONL lines),
-    // and (d) unperturbed simulated statistics.
+    // telescoping identity, (b) byte-identical access streams across
+    // engines (FNV digest over the JSONL lines), and (c) unperturbed
+    // simulated statistics.
     if (opt.critpathIdentity) {
         OracleOptions copt = opt;
         copt.configTweak = [&opt](sim::ExperimentConfig &cfg) {
@@ -358,31 +357,16 @@ checkPoint(const FuzzPoint &p, const OracleOptions &opt)
             v.detail = "critical-path pillar missing on a traced run";
             return v;
         }
-        const sim::RunResult *runs[2] = {&cs, &ck};
-        const obs::CritPathTracer *tracers[2] = {ts, tk};
-        for (int i = 0; i < 2; ++i) {
-            const obs::CritPathTracer *t = tracers[i];
-            const char *eng = i == 0 ? "step" : "skip";
+        for (const obs::CritPathTracer *t : {ts, tk}) {
             if (!t->identityHolds()) {
                 v.ok = false;
                 v.oracle = "critpath_identity";
                 std::ostringstream os;
-                os << eng << " engine: blame totals do not telescope to "
+                os << (t == ts ? "step" : "skip")
+                   << " engine: blame totals do not telescope to "
                    << t->latencyTotal() << " latency cycles over "
                    << t->completedCount() << " accesses";
                 v.detail = os.str();
-                return v;
-            }
-            std::string why;
-            const obs::StallAttribution *st =
-                runs[i]->obs ? runs[i]->obs->stalls() : nullptr;
-            if (st && !t->ledgerMatches(*st, &why)) {
-                v.ok = false;
-                v.oracle = "critpath_identity";
-                v.detail = std::string(eng) +
-                           " engine: tracer ledger disagrees with the "
-                           "stall accountant: " +
-                           why;
                 return v;
             }
         }

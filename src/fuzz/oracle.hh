@@ -38,10 +38,11 @@
  *  - critpath_identity
  *                    with per-access tracing on, every access's blame
  *                    vector must sum exactly to its measured latency,
- *                    the tracer's internal ledger must reconcile with
- *                    the aggregate stall accountant, both engines must
- *                    stream byte-identical access records (FNV digest),
- *                    and tracing must not perturb simulated stats;
+ *                    both engines must stream byte-identical access
+ *                    records (FNV digest), and tracing must not
+ *                    perturb simulated stats (the tracer classifies no
+ *                    cycle itself, so it agrees with the stall
+ *                    accountant by construction);
  *  - cross_scheduler on row-hit-heavy synthetic streams, Burst must
  *                    not be slower than BkInOrder beyond a tolerance
  *                    (the paper's headline ordering, Figure 10); for

@@ -7,7 +7,6 @@
 #include "common/error.hh"
 #include "common/json.hh"
 #include "common/table.hh"
-#include "obs/stall_attribution.hh"
 
 namespace bsim::obs
 {
@@ -117,9 +116,8 @@ blameSummary(const CritPathTracer::Counts &blame, std::size_t max_causes)
 
 } // namespace
 
-CritPathTracer::CritPathTracer(std::uint32_t channels,
-                               const std::string &jsonl_path)
-    : ledgers_(channels), digest_(kFnvOffset)
+CritPathTracer::CritPathTracer(const std::string &jsonl_path)
+    : digest_(kFnvOffset)
 {
     if (!jsonl_path.empty()) {
         stream_.open(jsonl_path, std::ios::trunc);
@@ -138,101 +136,32 @@ CritPathTracer::onAdmit(const ctrl::MemAccess &a)
 }
 
 void
-CritPathTracer::promote(Ledger &led, Tick t)
+CritPathTracer::noteIssue(const ctrl::MemAccess &a)
 {
-    while (!led.pending.empty() && led.pending.front().start <= t) {
-        if (led.pending.front().end > led.busyUntil) {
-            led.busyUntil = led.pending.front().end;
-            led.owner = led.pending.front().owner;
-        }
-        led.pending.pop_front();
-    }
-}
-
-void
-CritPathTracer::useSlot(Ledger &led, Tick now)
-{
-    // Identical classification to StallAttribution::useSlot().
-    promote(led, now);
-    const StallCause attr = now < led.busyUntil ? StallCause::DataTransfer
-                                                : StallCause::PrepIssue;
-    led.counts[std::size_t(attr)] += 1;
-    led.cycles += 1;
-}
-
-void
-CritPathTracer::chargeVictim(const ctrl::MemAccess *victim, Applied ap,
-                             std::uint64_t n)
-{
-    if (!victim)
-        return;
-    // PendingData means the queues were empty — there is no victim to
-    // charge — and PrepIssue cannot occur on an idle slot.
-    if (ap.attr == StallCause::PendingData)
-        return;
-    auto it = live_.find(victim->id);
-    if (it == live_.end())
-        return; // admitted before tracing attached; nothing to blame
-    Live &l = it->second;
-    if (ap.attr == StallCause::DataTransfer) {
-        // The victim was not streaming (it is still queued): it waited
-        // behind someone else's burst on the shared data bus.
-        l.waits[std::size_t(StallCause::TimingDataBus)] += n;
-        l.blockedBy = ap.owner;
-    } else {
-        l.waits[std::size_t(ap.attr)] += n;
-    }
-}
-
-void
-CritPathTracer::noteSlot(std::uint32_t ch, Tick now)
-{
-    useSlot(ledgers_[ch], now);
-}
-
-void
-CritPathTracer::noteIssue(std::uint32_t ch, Tick now,
-                          const ctrl::MemAccess &a, bool column_access,
-                          Tick data_start, Tick data_end)
-{
-    if (column_access)
-        ledgers_[ch].pending.push_back({data_start, data_end, a.id});
-    useSlot(ledgers_[ch], now);
     auto it = live_.find(a.id);
     if (it != live_.end())
         it->second.ownIssues += 1;
 }
 
 void
-CritPathTracer::noteStallSpan(std::uint32_t ch, Tick from, Tick span,
-                              StallCause cause,
-                              const ctrl::MemAccess *victim)
+CritPathTracer::noteStallSpan(const ctrl::MemAccess *victim,
+                              StallCause cause, Tick span,
+                              const StallAttribution::SpanSplit &split)
 {
-    // Segment exactly as StallAttribution::accountSpan() does, charging
-    // the victim per segment so the blame equals what span one-tick
-    // calls would have produced.
-    Ledger &led = ledgers_[ch];
-    Tick t = from;
-    const Tick end = from + span;
-    while (t < end) {
-        promote(led, t);
-        Tick seg_end;
-        Applied ap{cause, led.owner};
-        if (t < led.busyUntil) {
-            seg_end = led.busyUntil < end ? led.busyUntil : end;
-            ap.attr = StallCause::DataTransfer;
-        } else {
-            seg_end = end;
-            if (!led.pending.empty() && led.pending.front().start < end)
-                seg_end = led.pending.front().start;
-            if (cause == StallCause::NoWork && !led.pending.empty())
-                ap.attr = StallCause::PendingData;
-        }
-        led.counts[std::size_t(ap.attr)] += seg_end - t;
-        led.cycles += seg_end - t;
-        chargeVictim(victim, ap, seg_end - t);
-        t = seg_end;
+    if (!victim)
+        return;
+    auto it = live_.find(victim->id);
+    if (it == live_.end())
+        return; // admitted before tracing attached; nothing to blame
+    Live &l = it->second;
+    if (split.streaming) {
+        // The victim was not streaming (it is still queued): it waited
+        // behind someone else's burst on the shared data bus.
+        l.waits[std::size_t(StallCause::TimingDataBus)] += split.streaming;
+        l.blockedBy = split.owner;
     }
+    if (span > split.streaming)
+        l.waits[std::size_t(cause)] += span - split.streaming;
 }
 
 void
@@ -310,11 +239,11 @@ CritPathTracer::onComplete(const ctrl::MemAccess &a)
                       static_cast<unsigned long long>(sumCounts(c.blame)),
                       static_cast<unsigned long long>(c.latency));
 
-    finalize(a, std::move(c));
+    finalize(std::move(c));
 }
 
 void
-CritPathTracer::finalize(const ctrl::MemAccess &a, Completed &&c)
+CritPathTracer::finalize(Completed &&c)
 {
     completed_ += 1;
     latencyTotal_ += c.latency;
@@ -343,7 +272,6 @@ CritPathTracer::finalize(const ctrl::MemAccess &a, Completed &&c)
     emit(c);
     if (retain_)
         retained_.push_back(std::move(c));
-    (void)a;
 }
 
 void
@@ -373,39 +301,6 @@ bool
 CritPathTracer::identityHolds() const
 {
     return sumCounts(blameTotals_) == latencyTotal_;
-}
-
-bool
-CritPathTracer::ledgerMatches(const StallAttribution &st,
-                              std::string *why) const
-{
-    if (st.numChannels() != ledgers_.size()) {
-        if (why)
-            *why = "channel count mismatch";
-        return false;
-    }
-    for (std::uint32_t ch = 0; ch < ledgers_.size(); ++ch) {
-        const Ledger &led = ledgers_[ch];
-        if (led.cycles != st.cycles(ch)) {
-            if (why)
-                *why = "ch" + std::to_string(ch) + " cycles: ledger " +
-                       std::to_string(led.cycles) + " vs accountant " +
-                       std::to_string(st.cycles(ch));
-            return false;
-        }
-        for (std::size_t i = 0; i < kNumStallCauses; ++i) {
-            const std::uint64_t n = st.count(ch, StallCause(i));
-            if (led.counts[i] != n) {
-                if (why)
-                    *why = "ch" + std::to_string(ch) + " " +
-                           stallCauseName(StallCause(i)) + ": ledger " +
-                           std::to_string(led.counts[i]) +
-                           " vs accountant " + std::to_string(n);
-                return false;
-            }
-        }
-    }
-    return true;
 }
 
 void

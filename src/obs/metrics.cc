@@ -10,6 +10,7 @@
 #include "common/error.hh"
 #include "common/log.hh"
 #include "common/stats.hh"
+#include "ctrl/access.hh"
 #include "dram/stall.hh"
 
 namespace bsim::obs
@@ -38,6 +39,42 @@ MetricsSampler::MetricsSampler(Tick interval,
         throwSimError(ErrorCategory::Config, "metrics sampler: interval must be nonzero");
     if (hostTrack_)
         lastWallUs_ = wallNowUs();
+}
+
+void
+MetricsSampler::touchCore(std::uint64_t tag)
+{
+    if (tag < coreReadQ_.size())
+        return;
+    coreReadQ_.resize(tag + 1, 0);
+    coreWriteQ_.resize(tag + 1, 0);
+    coreRowHits_.resize(tag + 1, 0);
+    coreRowAccesses_.resize(tag + 1, 0);
+}
+
+std::uint32_t &
+MetricsSampler::coreQueue(const ctrl::MemAccess &a)
+{
+    touchCore(a.tag);
+    return (a.isRead() ? coreReadQ_ : coreWriteQ_)[a.tag];
+}
+
+void
+MetricsSampler::columnIssued(const ctrl::MemAccess &a)
+{
+    touchCore(a.tag);
+    coreRowAccesses_[a.tag] += 1;
+    if (a.outcome == dram::RowOutcome::Hit)
+        coreRowHits_[a.tag] += 1;
+}
+
+void
+MetricsSampler::fillPerCore(MetricsSnapshot &s) const
+{
+    s.coreReadQ = coreReadQ_;
+    s.coreWriteQ = coreWriteQ_;
+    s.coreRowHits = coreRowHits_;
+    s.coreRowAccesses = coreRowAccesses_;
 }
 
 void

@@ -22,6 +22,11 @@
 
 #include "common/types.hh"
 
+namespace bsim::ctrl
+{
+struct MemAccess;
+}
+
 namespace bsim::obs
 {
 
@@ -142,6 +147,18 @@ class MetricsSampler
      */
     void sample(const MetricsSnapshot &s);
 
+    // ----- per-requester counters (perCoreMetrics), indexed by the
+    // ----- MemAccess tag and grown on first sight of a tag -----
+
+    /** @p a entered the controller's pool. */
+    void admit(const ctrl::MemAccess &a) { coreQueue(a) += 1; }
+    /** @p a's column access was issued, classifying its row outcome. */
+    void columnIssued(const ctrl::MemAccess &a);
+    /** @p a left the controller. */
+    void complete(const ctrl::MemAccess &a) { coreQueue(a) -= 1; }
+    /** Copy the per-requester counters into @p s. */
+    void fillPerCore(MetricsSnapshot &s) const;
+
     /** Rows emitted so far. */
     const std::vector<MetricsRow> &rows() const { return rows_; }
 
@@ -155,6 +172,11 @@ class MetricsSampler
     void writeJson(std::ostream &os) const;
 
   private:
+    /** Grow the per-requester counters to cover @p tag. */
+    void touchCore(std::uint64_t tag);
+    /** @p a's requester's read or write queue occupancy. */
+    std::uint32_t &coreQueue(const ctrl::MemAccess &a);
+
     Tick interval_;
     std::vector<std::string> labels_;
     bool hostTrack_;
@@ -162,6 +184,10 @@ class MetricsSampler
     MetricsSnapshot prev_; //!< counters at the last emitted boundary
     Tick lastEnd_ = 0;     //!< exclusive end tick of the last row
     double lastWallUs_ = 0.0; //!< host clock at the last boundary
+    std::vector<std::uint32_t> coreReadQ_;
+    std::vector<std::uint32_t> coreWriteQ_;
+    std::vector<std::uint64_t> coreRowHits_;
+    std::vector<std::uint64_t> coreRowAccesses_;
 };
 
 } // namespace bsim::obs

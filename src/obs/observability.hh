@@ -1,10 +1,16 @@
 /**
  * @file
- * Observability facade: owns whichever pillars a run enabled (latency
- * breakdown, metrics sampler, command trace) and knows how to export
- * them. The System wires it to the memory controller and device; the
- * experiment harness hands it to the RunResult so reports and the CLI
- * can write the outputs after the run.
+ * Observability facade: owns whichever pillars a run enabled and knows
+ * how to export them. The System wires it to the memory controller and
+ * device; the experiment harness hands it to the RunResult so reports
+ * and the CLI can write the outputs after the run.
+ *
+ * It is also the controller's one event sink. The controller reports
+ * each event once — admit, issue, refresh slot, idle span, complete,
+ * epoch — and the sink forwards it to the pillars that consume it.
+ * The stall accountant is the only code that classifies a cycle; the
+ * critical-path tracer charges its victims from what the accountant
+ * booked for the span.
  */
 
 #ifndef BURSTSIM_OBS_OBSERVABILITY_HH
@@ -38,7 +44,49 @@ class Observability
     Observability(const ObsConfig &cfg, const dram::DramConfig &dram,
                   double bus_mhz);
 
-    const ObsConfig &config() const { return cfg_; }
+    // ----- the controller's event stream -----
+
+    /** @p a entered the controller's pool. */
+    void admit(const ctrl::MemAccess &a);
+
+    /**
+     * Channel @p ch's scheduler used its command slot at @p now for
+     * @p a; a column access booked the data burst
+     * [@p data_start, @p data_end).
+     */
+    void issue(std::uint32_t ch, Tick now, const ctrl::MemAccess &a,
+               bool column_access, Tick data_start, Tick data_end);
+
+    /** The refresh engine used channel @p ch's command slot at @p now. */
+    void refreshSlot(std::uint32_t ch, Tick now);
+
+    /**
+     * Channel @p ch's command slot sat idle over
+     * [@p from, @p from + @p span) for @p cause, the result of a stall
+     * scan that nominated @p victim (Scheduler::lastStallVictim()).
+     * Only called with the stall pillar on, since the scan needs it.
+     */
+    void idleSpan(std::uint32_t ch, Tick from, Tick span,
+                  dram::StallCause cause, const ctrl::MemAccess *victim);
+
+    /** @p a completed (read data arrived, or a write was served). */
+    void complete(const ctrl::MemAccess &a);
+
+    /** Last tick of the metrics epoch holding @p now (@p now itself
+     *  when it closes an epoch); kTickMax without a sampler. */
+    Tick nextEpochEnd(Tick now) const;
+
+    /**
+     * Close the epoch ending at @p s.now: add the pillars' own columns
+     * (stall totals, engine split, per-requester counters) to the
+     * controller's snapshot @p s and commit it to the sampler.
+     */
+    void epoch(MetricsSnapshot &s);
+
+    /** End of run: push buffered access records to disk. */
+    void flush();
+
+    // ----- pillars -----
 
     /** Latency pillar; nullptr when disabled. */
     LatencyBreakdown *latency() { return latency_.get(); }
@@ -83,9 +131,9 @@ class Observability
     void writeStallText(std::ostream &os) const;
 
   private:
-    ObsConfig cfg_;
     dram::DramConfig dram_;
     double busMHz_;
+    bool perCore_; //!< the sampler keeps per-requester counters
     std::unique_ptr<LatencyBreakdown> latency_;
     std::unique_ptr<MetricsSampler> sampler_;
     std::unique_ptr<dram::CommandLog> log_;

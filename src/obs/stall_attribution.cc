@@ -21,37 +21,30 @@ StallAttribution::StallAttribution(std::uint32_t channels,
 {}
 
 void
-StallAttribution::noteBurst(std::uint32_t ch, Tick start, Tick end)
+StallAttribution::noteBurst(std::uint32_t ch, Tick start, Tick end,
+                            std::uint64_t owner)
 {
-    chans_[ch].pending.emplace_back(start, end);
+    chans_[ch].pending.push_back({start, end, owner});
 }
 
 void
 StallAttribution::promote(ChannelState &c, Tick t)
 {
-    while (!c.pending.empty() && c.pending.front().first <= t) {
-        if (c.pending.front().second > c.busyUntil)
-            c.busyUntil = c.pending.front().second;
+    while (!c.pending.empty() && c.pending.front().start <= t) {
+        if (c.pending.front().end > c.busyUntil) {
+            c.busyUntil = c.pending.front().end;
+            c.owner = c.pending.front().owner;
+        }
         c.pending.pop_front();
     }
 }
 
-void
-StallAttribution::useSlot(std::uint32_t ch, Tick now)
-{
-    ChannelState &c = chans_[ch];
-    promote(c, now);
-    const StallCause attr = now < c.busyUntil ? StallCause::DataTransfer
-                                              : StallCause::PrepIssue;
-    c.counts[std::size_t(attr)] += 1;
-    c.cycles += 1;
-}
-
-void
+StallAttribution::SpanSplit
 StallAttribution::accountSpan(std::uint32_t ch, Tick from, Tick span,
                               StallCause cause)
 {
     ChannelState &c = chans_[ch];
+    SpanSplit split;
     Tick t = from;
     const Tick end = from + span;
     while (t < end) {
@@ -61,12 +54,14 @@ StallAttribution::accountSpan(std::uint32_t ch, Tick from, Tick span,
         if (t < c.busyUntil) {
             seg_end = c.busyUntil < end ? c.busyUntil : end;
             attr = StallCause::DataTransfer;
+            split.streaming += seg_end - t;
+            split.owner = c.owner;
         } else {
             // The attribution can only change where the next booked
             // burst starts; run this segment up to that edge.
             seg_end = end;
-            if (!c.pending.empty() && c.pending.front().first < end)
-                seg_end = c.pending.front().first;
+            if (!c.pending.empty() && c.pending.front().start < end)
+                seg_end = c.pending.front().start;
             attr = (cause == StallCause::NoWork && !c.pending.empty())
                        ? StallCause::PendingData
                        : cause;
@@ -77,8 +72,10 @@ StallAttribution::accountSpan(std::uint32_t ch, Tick from, Tick span,
     }
     for (const auto &[flat, note] : scanNotes_)
         bankCounts_[flat][std::size_t(note)] += span;
+    c.lastNotes.swap(scanNotes_);
     scanNotes_.clear();
     scanUntil_ = kTickMax;
+    return split;
 }
 
 void

@@ -11,12 +11,18 @@
  * piggyback threshold gate, or by losing arbitration to another bank.
  *
  * Because the controller attributes every cycle of every channel exactly
- * once (useSlot() for a cycle that issued a command, accountSpan() for
- * a run of idle cycles), the counts telescope: for each channel,
+ * once (accountSpan(), with PrepIssue for a cycle that issued a command
+ * and the stall cause for a run of idle cycles), the counts telescope:
+ * for each channel,
  *     sum over causes of count(ch, cause) == cycles(ch) == memCycles.
  * That identity is what makes the report trustworthy — no cycle is
  * double-counted and none goes missing — and the integration test
  * asserts it for every scheduler.
+ *
+ * This is the only cycle classifier in the simulator. The critical-path
+ * tracer does not classify cycles itself: accountSpan() tells it how
+ * many of an idle span's cycles the data bus streamed and whose burst
+ * that was, and the tracer charges the stall victim from that.
  */
 
 #ifndef BURSTSIM_OBS_STALL_ATTRIBUTION_HH
@@ -51,34 +57,47 @@ class StallAttribution
                      std::uint32_t banks_per_channel,
                      std::vector<std::string> bank_labels);
 
-    /**
-     * Record a data burst [start, end) scheduled on @p ch. Bursts start
-     * after the command that books them (tCL / tWL later), so they are
-     * queued here and consumed by useSlot() / accountSpan() as time
-     * passes.
-     */
-    void noteBurst(std::uint32_t ch, Tick start, Tick end);
+    /** The cycles of a span accountSpan() booked as DataTransfer. */
+    struct SpanSplit
+    {
+        Tick streaming = 0;
+        std::uint64_t owner = 0; //!< access id of the last streaming burst
+    };
 
     /**
-     * Attribute cycle @p now on channel @p ch, whose command slot was
-     * used (by the scheduler or the refresh engine): PrepIssue, unless
-     * the data bus streams this cycle — a cycle where the bus streams
-     * is never a stall, whatever the command slot did.
+     * Record a data burst [start, end) scheduled on @p ch for access
+     * @p owner. Bursts start after the command that books them (tCL /
+     * tWL later), so they are queued here and consumed by accountSpan()
+     * as time passes.
      */
-    void useSlot(std::uint32_t ch, Tick now);
+    void noteBurst(std::uint32_t ch, Tick start, Tick end,
+                   std::uint64_t owner);
 
     /**
-     * Attribute the idle span [@p from, @p from + @p span) on channel
-     * @p ch, in which the command slot sat idle for @p cause: a cycle
-     * counts as DataTransfer while a booked burst streams, as
-     * PendingData when @p cause is NoWork but booked data is still to
-     * come, and as @p cause otherwise. The span is segmented at booked-
-     * burst start and end edges, so a span of n cycles books exactly
-     * what n one-cycle calls would. The per-bank causes noted since the
-     * last accountSpan() count for every cycle of the span.
+     * Attribute the span [@p from, @p from + @p span) on channel @p ch,
+     * in which the command slot was used (@p cause PrepIssue: by the
+     * scheduler or the refresh engine) or sat idle for @p cause: a
+     * cycle counts as DataTransfer while a booked burst streams (a
+     * cycle where the bus streams is never a stall, whatever the
+     * command slot did), as PendingData when @p cause is NoWork but
+     * booked data is still to come, and as @p cause otherwise. The
+     * span is segmented at booked-burst start and end edges, so a span
+     * of n cycles books exactly what n one-cycle calls would. The
+     * per-bank causes noted since the last accountSpan() count for
+     * every cycle of the span, and stay with @p ch as its last scan
+     * (see replayScan()). Returns the streaming cycles.
      */
-    void accountSpan(std::uint32_t ch, Tick from, Tick span,
-                     dram::StallCause cause);
+    SpanSplit accountSpan(std::uint32_t ch, Tick from, Tick span,
+                          dram::StallCause cause);
+
+    /**
+     * The scan that preceded @p ch's last accountSpan() still holds:
+     * note its per-bank causes again, for the next accountSpan().
+     */
+    void replayScan(std::uint32_t ch)
+    {
+        scanNotes_ = chans_[ch].lastNotes;
+    }
 
     /**
      * Deepen a channel-level stall with its per-bank breakdown: bank
@@ -128,14 +147,25 @@ class StallAttribution
     void writeText(std::ostream &os) const;
 
   private:
+    using Notes = std::vector<std::pair<std::size_t, dram::StallCause>>;
+
+    struct Burst
+    {
+        Tick start;
+        Tick end;
+        std::uint64_t owner;
+    };
+
     struct ChannelState
     {
-        /** Booked data bursts not yet fully in the past (start, end). */
-        std::deque<std::pair<Tick, Tick>> pending;
+        /** Booked data bursts not yet fully in the past. */
+        std::deque<Burst> pending;
         /** One past the last cycle of the burst currently streaming. */
         Tick busyUntil = 0;
+        std::uint64_t owner = 0; //!< access id of the streaming burst
         Counts counts{};
         std::uint64_t cycles = 0;
+        Notes lastNotes; //!< the bank notes of the last booked scan
     };
 
     /** Move @p c's booked bursts that started by @p t into its
@@ -145,8 +175,8 @@ class StallAttribution
 
     std::vector<ChannelState> chans_;
     /** Flat bank-count slots and causes noted by the current scan;
-     *  accountSpan() books and clears them. */
-    std::vector<std::pair<std::size_t, dram::StallCause>> scanNotes_;
+     *  accountSpan() books them and keeps them as the channel's last. */
+    Notes scanNotes_;
     Tick scanUntil_ = kTickMax;
     std::uint32_t banksPerChannel_;
     std::vector<std::string> bankLabels_; //!< channel-major

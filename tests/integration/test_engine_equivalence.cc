@@ -15,12 +15,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "obs/observability.hh"
 #include "sim/experiment.hh"
@@ -70,6 +72,44 @@ runWith(ExperimentConfig cfg, EngineKind engine)
 {
     cfg.engine = engine;
     return runExperiment(cfg);
+}
+
+/** @p json (pretty-printed) without its top-level member @p key. */
+std::string
+withoutJsonSection(const std::string &json, const std::string &key)
+{
+    const std::size_t from = json.find("\n  \"" + key + "\": ");
+    if (from == std::string::npos)
+        return json;
+    std::size_t to = json.find("\n  \"", from + 1); // next member
+    if (to == std::string::npos)
+        to = json.rfind("\n}");
+    return json.substr(0, from) + json.substr(to);
+}
+
+/** @p csv without the columns named in @p drop. */
+std::string
+withoutCsvColumns(const std::string &csv,
+                  const std::vector<std::string> &drop)
+{
+    std::istringstream in(csv);
+    std::string line, out;
+    std::vector<bool> keep;
+    while (std::getline(in, line)) {
+        std::vector<std::string> cells;
+        std::istringstream ls(line);
+        for (std::string c; std::getline(ls, c, ',');)
+            cells.push_back(c);
+        if (keep.empty())
+            for (const std::string &c : cells)
+                keep.push_back(std::find(drop.begin(), drop.end(), c) ==
+                               drop.end());
+        for (std::size_t i = 0; i < cells.size(); ++i)
+            if (i >= keep.size() || keep[i])
+                out += cells[i] + ',';
+        out += '\n';
+    }
+    return out;
 }
 
 } // namespace
@@ -168,6 +208,78 @@ TEST(EngineEquivalence, ObservabilityPillarsByteIdentical)
     // And the skip engine must not bend the DDR2 protocol to get there.
     EXPECT_EQ(step.obs->auditor()->violationCount(), 0u);
     EXPECT_EQ(skip.obs->auditor()->violationCount(), 0u);
+}
+
+TEST(EngineEquivalence, EveryPillarAtOnceByteIdenticalForEveryClass)
+{
+    // Every pillar at once, on every scheduler class and on a CMP mix:
+    // the skip engine skips spans with bulk stall attribution and
+    // reuses stall scans across memo hits, and no export may notice.
+    // Only the introspection pillar describes the engine itself, so its
+    // result-JSON section and its two metrics columns are left out of
+    // the comparison.
+    std::vector<std::pair<ctrl::Mechanism, std::string>> runs;
+    for (ctrl::Mechanism m : kSchedulerClasses)
+        runs.emplace_back(m, "swim");
+    runs.emplace_back(ctrl::Mechanism::BurstTH, "swim+mcf");
+
+    for (const auto &[mech, workload] : runs) {
+        SCOPED_TRACE(std::string(ctrl::mechanismName(mech)) + " " +
+                     workload);
+        ExperimentConfig cfg;
+        cfg.workload = workload;
+        cfg.mechanism = mech;
+        cfg.instructions = kInstr;
+        cfg.obs.latencyBreakdown = true;
+        cfg.obs.metricsInterval = 512;
+        cfg.obs.perCoreMetrics = true;
+        cfg.obs.stallAttribution = true;
+        cfg.obs.critPath = true;
+        cfg.obs.critPathRetain = true;
+        cfg.obs.commandTrace = true;
+        cfg.obs.engineIntrospect = true;
+        cfg.obs.audit = obs::AuditMode::Warn;
+
+        const RunResult step = runWith(cfg, EngineKind::Step);
+        const RunResult skip = runWith(cfg, EngineKind::Skip);
+
+        EXPECT_EQ(withoutJsonSection(resultJson(step), "engine_introspect"),
+                  withoutJsonSection(resultJson(skip), "engine_introspect"));
+
+        ASSERT_NE(step.obs, nullptr);
+        ASSERT_NE(skip.obs, nullptr);
+        const auto render = [](const obs::Observability &o, auto writer) {
+            std::ostringstream os;
+            (o.*writer)(os);
+            return os.str();
+        };
+        EXPECT_EQ(render(*step.obs, &obs::Observability::writeStallJson),
+                  render(*skip.obs, &obs::Observability::writeStallJson));
+        const std::string csv_step = withoutCsvColumns(
+            render(*step.obs, &obs::Observability::writeMetricsCsv),
+            {"stepped_cycles", "skipped_cycles"});
+        EXPECT_NE(csv_step.find(",rq_core0,"), std::string::npos);
+        EXPECT_EQ(csv_step,
+                  withoutCsvColumns(
+                      render(*skip.obs,
+                             &obs::Observability::writeMetricsCsv),
+                      {"stepped_cycles", "skipped_cycles"}));
+        EXPECT_EQ(render(*step.obs, &obs::Observability::writeChromeTrace),
+                  render(*skip.obs, &obs::Observability::writeChromeTrace));
+
+        const obs::CritPathTracer *ts = step.obs->critpath();
+        const obs::CritPathTracer *tk = skip.obs->critpath();
+        ASSERT_NE(ts, nullptr);
+        ASSERT_NE(tk, nullptr);
+        EXPECT_GT(ts->retained().size(), 0u);
+        EXPECT_EQ(ts->retained().size(), tk->retained().size());
+        EXPECT_EQ(ts->digest(), tk->digest());
+
+        // And the skip engine must not bend the DDR2 protocol to get
+        // there.
+        EXPECT_EQ(step.obs->auditor()->violationCount(), 0u);
+        EXPECT_EQ(skip.obs->auditor()->violationCount(), 0u);
+    }
 }
 
 TEST(EngineEquivalence, WatermarkDrainByteIdentical)

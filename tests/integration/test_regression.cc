@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "obs/observability.hh"
 #include "sim/experiment.hh"
 
 using namespace bsim;
@@ -83,6 +86,48 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(info.param.workload) + "_" +
                ctrl::mechanismName(info.param.mechanism);
     });
+
+TEST(GoldenValues, StallAccountingAndBlameAreExact)
+{
+    // The engine-equivalence suite compares the stall accountant and
+    // the critical-path tracer across the two engines; these figures
+    // pin the classification itself, so a change that moves both
+    // engines alike (say, a stall scan reused past the state it saw)
+    // is noticed too.
+    struct Point
+    {
+        const char *workload;
+        ctrl::Mechanism mechanism;
+        std::uint64_t noWork, tRcd, dataBus;     // channel cycles
+        std::uint64_t blameDataBus, blameArbLoss; // access blame
+    };
+    const Point points[] = {
+        {"swim", ctrl::Mechanism::BurstTH, 4743, 1257, 2409, 27290,
+         1642497},
+        {"mcf", ctrl::Mechanism::Parbs, 1536, 1555, 713, 3827, 16219},
+    };
+    using dram::StallCause;
+    for (const Point &p : points) {
+        ExperimentConfig cfg;
+        cfg.workload = p.workload;
+        cfg.mechanism = p.mechanism;
+        cfg.instructions = 25000;
+        cfg.obs.critPath = true;
+        const RunResult r = runExperiment(cfg);
+        const auto cycles = r.obs->stalls()->totals();
+        const auto &blame = r.obs->critpath()->blameTotals();
+        const auto at = [](const auto &counts, StallCause c) {
+            return counts[std::size_t(c)];
+        };
+        SCOPED_TRACE(std::string(p.workload) + " " +
+                     ctrl::mechanismName(p.mechanism));
+        EXPECT_EQ(at(cycles, StallCause::NoWork), p.noWork);
+        EXPECT_EQ(at(cycles, StallCause::TimingTRCD), p.tRcd);
+        EXPECT_EQ(at(cycles, StallCause::TimingDataBus), p.dataBus);
+        EXPECT_EQ(at(blame, StallCause::TimingDataBus), p.blameDataBus);
+        EXPECT_EQ(at(blame, StallCause::ArbLoss), p.blameArbLoss);
+    }
+}
 
 TEST(GoldenValues, TrafficIsNearlyMechanismInvariant)
 {

@@ -2,11 +2,9 @@
  * @file
  * Critical-path tracer tests: the per-access telescoping identity
  * (blame sums exactly to measured latency) for every scheduler family
- * under both engines, reconciliation of the tracer's internal cycle
- * ledger against the aggregate stall accountant, byte-identical access
- * streams across engines, the JSONL schema, the report sections, the
- * per-core metrics columns, and the guarantee that tracing never
- * perturbs the simulation.
+ * under both engines, byte-identical access streams across engines,
+ * the JSONL schema, the report sections, the per-core metrics columns,
+ * and the guarantee that tracing never perturbs the simulation.
  */
 
 #include <gtest/gtest.h>
@@ -64,7 +62,7 @@ blameSum(const CritPathTracer::Counts &c)
 
 } // namespace
 
-TEST(CritPath, IdentityAndLedgerHoldForEveryFamilyUnderBothEngines)
+TEST(CritPath, IdentityHoldsForEveryFamilyUnderBothEngines)
 {
     for (const ctrl::Mechanism m : kFamilies) {
         for (const sim::EngineKind e :
@@ -83,14 +81,6 @@ TEST(CritPath, IdentityAndLedgerHoldForEveryFamilyUnderBothEngines)
             for (const auto &c : t->retained())
                 ASSERT_EQ(blameSum(c.blame), c.latency)
                     << ctrl::mechanismName(m) << " access " << c.id;
-
-            // The tracer's cycle ledger mirrors the aggregate stall
-            // accountant exactly, cause for cause.
-            ASSERT_NE(r.obs->stalls(), nullptr);
-            std::string why;
-            EXPECT_TRUE(t->ledgerMatches(*r.obs->stalls(), &why))
-                << ctrl::mechanismName(m) << "/"
-                << sim::engineKindName(e) << ": " << why;
         }
     }
 }
@@ -103,9 +93,6 @@ TEST(CritPath, IdentityHoldsOnWriteHeavyDenseTrafficToo)
         const CritPathTracer *t = r.obs->critpath();
         ASSERT_NE(t, nullptr);
         EXPECT_TRUE(t->identityHolds()) << ctrl::mechanismName(m);
-        std::string why;
-        EXPECT_TRUE(t->ledgerMatches(*r.obs->stalls(), &why))
-            << ctrl::mechanismName(m) << ": " << why;
     }
 }
 

@@ -33,13 +33,13 @@ TEST(StallAttribution, ClassificationPriority)
     StallAttribution sa = twoBankChannel();
 
     // A read issues at 0 with its burst at [5, 9).
-    sa.noteBurst(0, 5, 9);
-    sa.useSlot(0, 0); // prep_issue
+    sa.noteBurst(0, 5, 9, 1);
+    sa.accountSpan(0, 0, 1, StallCause::PrepIssue); // prep_issue
     // 1-4: command slot idle, only the booked burst outstanding.
     for (Tick t = 1; t < 5; ++t)
         sa.accountSpan(0, t, 1, StallCause::NoWork); // pending_data
     // 5-8: the bus streams; even an issuing slot counts as transfer.
-    sa.useSlot(0, 5);
+    sa.accountSpan(0, 5, 1, StallCause::PrepIssue);
     for (Tick t = 6; t < 9; ++t)
         sa.accountSpan(0, t, 1, StallCause::NoWork);
     // 9: nothing left at all.
@@ -64,7 +64,7 @@ TEST(StallAttribution, TelescopingIdentity)
     for (Tick t = 0; t < 1000; ++t)
         for (std::uint32_t ch = 0; ch < 2; ++ch) {
             if ((t + ch) % 3 == 0)
-                sa.useSlot(ch, t);
+                sa.accountSpan(ch, t, 1, StallCause::PrepIssue);
             else
                 sa.accountSpan(ch, t, 1, causes[(t + ch) % 4]);
         }
@@ -87,8 +87,8 @@ TEST(StallAttribution, OverlappingBurstsExtendTheBusyHorizon)
 {
     StallAttribution sa = twoBankChannel();
     // Back-to-back bursts [2, 6) and [6, 10): cycles 2-9 all transfer.
-    sa.noteBurst(0, 2, 6);
-    sa.noteBurst(0, 6, 10);
+    sa.noteBurst(0, 2, 6, 1);
+    sa.noteBurst(0, 6, 10, 2);
     for (Tick t = 0; t < 12; ++t)
         sa.accountSpan(0, t, 1, StallCause::NoWork);
     EXPECT_EQ(sa.count(0, StallCause::DataTransfer), 8u);
@@ -117,10 +117,10 @@ TEST(StallAttribution, JsonIsDeterministic)
 {
     auto run = [] {
         StallAttribution sa = twoBankChannel();
-        sa.noteBurst(0, 3, 7);
+        sa.noteBurst(0, 3, 7, 1);
         for (Tick t = 0; t < 64; ++t) {
             if (t % 5 == 0)
-                sa.useSlot(0, t);
+                sa.accountSpan(0, t, 1, StallCause::PrepIssue);
             else
                 sa.accountSpan(0, t, 1,
                                t % 2 ? StallCause::TimingTRCD
@@ -161,4 +161,40 @@ TEST(StallAttribution, ScanNotesCountForEveryCycleOfTheirSpan)
               10.0);
     EXPECT_EQ(sa.count(0, StallCause::TimingTRCD), 10u);
     EXPECT_EQ(sa.count(0, StallCause::TimingTRP), 5u);
+}
+
+TEST(StallAttribution, SpanSplitNamesTheStreamingBurstsOwner)
+{
+    StallAttribution sa = twoBankChannel();
+    sa.noteBurst(0, 2, 6, 7);
+    sa.noteBurst(0, 6, 8, 9);
+    // Cycles 0-1 wait, 2-7 stream (access 7, then access 9), 8-9 wait.
+    const auto split = sa.accountSpan(0, 0, 10, StallCause::TimingTRCD);
+    EXPECT_EQ(split.streaming, 6u);
+    EXPECT_EQ(split.owner, 9u);
+    EXPECT_EQ(sa.count(0, StallCause::TimingTRCD), 4u);
+    EXPECT_EQ(sa.accountSpan(0, 10, 3, StallCause::NoWork).streaming, 0u);
+}
+
+TEST(StallAttribution, ReplayedScanBooksItsBankNotesAgain)
+{
+    StallAttribution sa(2, 1, {"ch0_r0_b0", "ch1_r0_b0"});
+    sa.noteBankStall(0, 0, StallCause::TimingTRP, 50);
+    sa.accountSpan(0, 0, 4, StallCause::TimingTRP);
+    // Channel 1's scan in between keeps its own notes.
+    sa.noteBankStall(1, 0, StallCause::ThresholdGated, kTickMax);
+    sa.accountSpan(1, 0, 4, StallCause::ThresholdGated);
+    sa.replayScan(0);
+    sa.accountSpan(0, 4, 2, StallCause::TimingTRP);
+
+    std::ostringstream os;
+    sa.writeJson(os);
+    const auto v = parseJson(os.str());
+    ASSERT_TRUE(v.has_value());
+    const JsonValue &banks = *v->find("banks");
+    ASSERT_EQ(banks.size(), 2u);
+    EXPECT_EQ(banks.array[0].find("causes")->find("t_rp")->number, 6.0);
+    EXPECT_EQ(
+        banks.array[1].find("causes")->find("threshold_gated")->number,
+        4.0);
 }

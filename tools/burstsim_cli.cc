@@ -345,6 +345,12 @@ runCli(int argc, char **argv)
     if (!args.parse(argc, argv, std::cerr))
         return args.helpRequested() ? 0 : 2;
 
+    // A flag the chosen mode never reads is rejected, not ignored (and
+    // before the path check below would create an empty file for it).
+    if (!args.str("sweep-out").empty() && !args.flag("sweep"))
+        throwSimError(ErrorCategory::Config,
+                      "--sweep-out is only written by --sweep");
+
     // Every named output must be writable before any simulation runs.
     validateOutputPath(args.str("metrics-out"), "--metrics-out");
     validateOutputPath(args.str("trace-out"), "--trace-out");
