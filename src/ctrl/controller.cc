@@ -150,10 +150,7 @@ MemoryController::MemoryController(dram::MemorySystem &mem,
 
     schedMemo_.resize(dcfg.channels);
     stallMemo_.resize(dcfg.channels);
-    refreshWake_.assign(dcfg.channels, 0);
     chanVersion_.assign(dcfg.channels, 1);
-    for (std::uint32_t ch = 0; ch < dcfg.channels; ++ch)
-        schedMemo_[ch].global = schedulers_[ch]->globallySensitive();
 
     // Stagger per-rank refresh deadlines so refreshes do not align.
     const Tick trefi = dcfg.timing.tREFI;
@@ -293,12 +290,10 @@ MemoryController::tick(Tick now)
         {
             obs::prof::Scope prof(obs::prof::Phase::RefreshEngine);
             if (refreshTick(ch, now)) {
-                // Refresh engine used this channel's command slot (and
-                // changed the channel's device state).
-                memo.version = 0;
+                // Refresh engine used this channel's command slot; the
+                // command bumped the channel's epoch.
                 if (obs::EngineIntrospect *in = intro())
                     in->noteMemoInvalidate();
-                schedulers_[ch]->onExternalCommand();
                 if (obs_)
                     obs_->refreshSlot(ch, now);
                 continue;
@@ -325,7 +320,6 @@ MemoryController::tick(Tick now)
             if (obs_)
                 obs_->issue(ch, now, *issued.access, issued.columnAccess,
                             issued.dataStart, issued.dataEnd);
-            memo.version = 0; // the issue changed channel state
             if (obs::EngineIntrospect *in = intro())
                 in->noteMemoInvalidate();
             handleIssued(issued);
@@ -380,15 +374,6 @@ MemoryController::nextEventTick(Tick now, obs::WakeSource *src) const
     if (dcfg.timing.tREFI) {
         for (std::uint32_t ch = 0;
              ch < mem_.numChannels() && horizon > now; ++ch) {
-            if (eventDriven_ && refreshWake_[ch] > now) {
-                // refreshTick()'s wake memo: no rank of this channel is
-                // pending, and the earliest deadline is exactly wake
-                // (the invariant is checked loudly there) — the full
-                // rank walk below would produce the same minimum.
-                consider(refreshWake_[ch], obs::WakeReason::Refresh,
-                         std::int32_t(ch));
-                continue;
-            }
             for (std::uint32_t r = 0; r < dcfg.ranksPerChannel; ++r) {
                 const auto &st =
                     refresh_[ch * dcfg.ranksPerChannel + r];
@@ -435,9 +420,9 @@ Tick
 MemoryController::schedHorizon(std::uint32_t channel, Tick now) const
 {
     // The memo stays valid while nothing the scheduler's decision
-    // depends on has changed: the version stamp covers queue contents,
-    // the signature covers the global-count bands, and the channel's
-    // own issues clear the memo directly. A bound that has expired
+    // depends on has changed: the device epoch covers the channel's
+    // timing state, the version stamp its queue contents and the
+    // signature the global-count bands. A bound that has expired
     // (until <= now) forces a recomputation.
     SchedMemo &memo = schedMemo_[channel];
     if (!memoValid(channel) || memo.until <= now) {
@@ -542,39 +527,12 @@ MemoryController::refreshTick(std::uint32_t channel, Tick now)
     const auto &dcfg = mem_.config();
     if (!dcfg.timing.tREFI)
         return false;
-    if (eventDriven_ && now < refreshWake_[channel]) {
-        // Memo invariant: a nonzero wake means no rank of this channel
-        // is pending (every pending path below zeroes the memo first)
-        // and the earliest deadline is >= wake (nextDue only grows).
-        // If either ever breaks, a pending rank's refresh would be
-        // deferred past its deadline silently — fail loudly instead.
-        for (std::uint32_t r = 0; r < dcfg.ranksPerChannel; ++r) {
-            const auto &st =
-                refresh_[channel * dcfg.ranksPerChannel + r];
-            if (st.pending || st.nextDue < refreshWake_[channel])
-                throwSimError(
-                    ErrorCategory::Internal,
-                    "refresh wake memo stale: ch%u wake=%llu rank%u "
-                    "pending=%d nextDue=%llu at tick %llu",
-                    channel,
-                    (unsigned long long)refreshWake_[channel], r,
-                    int(st.pending), (unsigned long long)st.nextDue,
-                    (unsigned long long)now);
-        }
-        return false; // no rank pending and none due before this tick
-    }
-
-    Tick wake = kTickMax;
     for (std::uint32_t r = 0; r < dcfg.ranksPerChannel; ++r) {
         auto &st = refresh_[channel * dcfg.ranksPerChannel + r];
         if (!st.pending) {
-            if (now >= st.nextDue) {
-                st.pending = true;
-            } else {
-                if (st.nextDue < wake)
-                    wake = st.nextDue;
+            if (now < st.nextDue)
                 continue;
-            }
+            st.pending = true;
         }
 
         // Precharge any open bank; then refresh the rank. The drain
@@ -586,24 +544,18 @@ MemoryController::refreshTick(std::uint32_t channel, Tick now)
         c.channel = channel;
         c.rank = r;
 
-        refreshWake_[channel] = 0; // a rank is pending: run every tick
-        mem_.setRefreshDrain(channel, r, true);
-        if (!st.draining) {
-            // Drain-gate transition: the gate turns this channel's
-            // Activate bounds into state gates, so cached bounds (and
-            // the channel horizon built on them) are no longer proofs.
-            st.draining = true;
-            schedMemo_[channel].version = 0;
+        if (!mem_.refreshDraining(channel, r)) {
+            // Closing the gate bumps the channel's epoch: it turns the
+            // channel's Activate bounds into state gates.
+            mem_.setRefreshDrain(channel, r, true);
             if (obs::EngineIntrospect *in = intro())
                 in->noteMemoInvalidate();
-            schedulers_[channel]->onExternalCommand();
         }
 
         dram::Command ref{dram::CmdType::RefreshAll, c, 0};
         if (mem_.canIssue(ref, now)) {
             mem_.issue(ref, now);
             st.pending = false;
-            st.draining = false;
             st.nextDue += dcfg.timing.tREFI;
             stats_.refreshes += 1;
             mem_.setRefreshDrain(channel, r, false);
@@ -624,7 +576,6 @@ MemoryController::refreshTick(std::uint32_t channel, Tick now)
         // do allow the scheduler to keep other ranks busy.
         return false;
     }
-    refreshWake_[channel] = wake; // reached only with no rank pending
     return false;
 }
 
@@ -688,8 +639,6 @@ MemoryController::busy() const
 void
 MemoryController::attachObservability(obs::Observability *o)
 {
-    for (auto &m : schedMemo_)
-        m.version = 0;
     obs_ = o;
     for (auto &s : schedulers_) {
         s->setAuditor(o ? o->auditor() : nullptr);

@@ -53,10 +53,12 @@ struct ControllerConfig
      *  controllers coalesce; the paper's model does not). */
     bool coalesceWrites = false;
 
-    /** Debug switch (`--no-horizon-memo`): disable every horizon memo
-     *  and bound cache in the event-driven engine. Results and the
+    /** Debug switch (`--no-horizon-memo`): disable the skip engine's
+     *  two device-timing caches, the per-channel horizon memo and the
+     *  schedulers' per-bank bound caches (both keyed on the channel's
+     *  device epoch, MemorySystem::epoch()). Results and the
      *  introspection skip/step totals must be identical either way —
-     *  the fuzzer's engine_equivalence oracle differences the two. */
+     *  the fuzzer's memo_transparency oracle differences the two. */
     bool horizonMemo = true;
 
     // Extension / ablation switches (see SchedulerParams).
@@ -255,34 +257,31 @@ class MemoryController
     std::string progressSnapshot(Tick now) const;
 
   private:
-    /** Per-(channel,rank) refresh engine state. */
+    /** Per-(channel,rank) refresh engine state. The rank's drain gate
+     *  lives in the device (MemorySystem::refreshDraining()). */
     struct RefreshState
     {
         Tick nextDue = 0;
         bool pending = false;
-        /** Drain gate currently asserted for this rank. Tracked so the
-         *  false->true transition (which turns Activate bounds into
-         *  state gates) invalidates the channel's cached horizons. */
-        bool draining = false;
     };
 
     /**
      * Cached per-channel scheduler horizon. Valid while the channel's
-     * queue version matches (enqueues; issues clear the memo directly)
-     * and, for globally sensitive policies, the scheduler's global-count
-     * band signature still holds: the channel's scheduler then provably
-     * cannot issue (nor make an arbitration move) strictly before
-     * `until`, so its per-tick scan can be skipped and nextEventTick()
-     * can reuse the bound without rescanning. Signature banding is what
-     * keeps Burst/Intel memos alive while other channels complete
-     * accesses without crossing a threshold.
+     * device epoch (every command and drain-gate change on it), its
+     * queue version (enqueues) and the scheduler's global-count band
+     * signature all hold: the channel's scheduler then provably cannot
+     * issue (nor make an arbitration move) strictly before `until`, so
+     * its per-tick scan can be skipped and nextEventTick() can reuse
+     * the bound without rescanning. Signature banding is what keeps
+     * Burst/Intel memos alive while other channels complete accesses
+     * without crossing a threshold.
      */
     struct SchedMemo
     {
         Tick until = 0;            //!< no issue strictly before this
+        std::uint64_t epoch = 0;   //!< MemorySystem::epoch() when computed
         std::uint64_t version = 0; //!< chanVersion_ stamp when computed
         std::uint64_t signature = 0; //!< globalSignature() when computed
-        bool global = false;       //!< scheduler reads global counts
         /** Why `until` is where it is (from the computing scheduler);
          *  carried alongside so memo hits stay attributable. */
         HorizonPin pin = HorizonPin::None;
@@ -303,9 +302,8 @@ class MemoryController
     memoValid(std::uint32_t channel) const
     {
         const SchedMemo &m = schedMemo_[channel];
-        if (!cfg_.horizonMemo || m.version != chanVersion_[channel])
-            return false;
-        return !m.global ||
+        return cfg_.horizonMemo && m.epoch == mem_.epoch(channel) &&
+               m.version == chanVersion_[channel] &&
                m.signature == schedulers_[channel]->globalSignature();
     }
 
@@ -314,9 +312,9 @@ class MemoryController
     stampMemo(std::uint32_t channel) const
     {
         SchedMemo &m = schedMemo_[channel];
+        m.epoch = mem_.epoch(channel);
         m.version = chanVersion_[channel];
-        if (m.global)
-            m.signature = schedulers_[channel]->globalSignature();
+        m.signature = schedulers_[channel]->globalSignature();
         m.gen += 1;
     }
 
@@ -374,14 +372,11 @@ class MemoryController
     /** Reads whose data transfer is scheduled, keyed by completion tick. */
     std::multimap<Tick, MemAccess *> pendingReads_;
     std::vector<RefreshState> refresh_; //!< channel-major [ch*ranks + r]
-    /** Event-driven engine: no refresh work on this channel before this
-     *  tick (min nextDue while no rank is pending; 0 = must run). */
-    std::vector<Tick> refreshWake_;
     std::uint64_t nextId_ = 1;
 
     /** Per-channel enqueue version: covers every decision input beyond
-     *  the channel's own device state (cleared directly on issues) and
-     *  the global-count bands (covered by the memo signature). */
+     *  the channel's device state (its epoch) and the global-count
+     *  bands (the memo signature). */
     std::vector<std::uint64_t> chanVersion_;
     mutable std::vector<SchedMemo> schedMemo_; //!< per channel
     std::vector<StallMemo> stallMemo_;         //!< per channel

@@ -34,29 +34,26 @@ Scheduler::noteBankProbe(std::uint32_t b, const MemAccess *a, Tick now,
 Tick
 Scheduler::bankBound(std::uint32_t b, const MemAccess *a, Tick now) const
 {
-    if (!cacheOn())
+    if (!eventDriven_ || !horizonMemo_)
         return probeFor(a, now).readyAt;
-    if (boundEpoch_[b] == cmdEpoch_) {
+    BoundSlot &slot = bounds_[b];
+    const std::uint64_t epoch = ctx_.mem->epoch(ctx_.channel);
+    if (slot.epoch == epoch && slot.id == a->id) {
         if (intro_)
             intro_->noteFrontHorizonHit();
         // max(now, cached) == a fresh readyAt at now: deadlines are
         // unchanged (same epoch) and readyAt floors at now.
-        return std::max(now, boundTick_[b]);
+        return std::max(now, slot.readyAt);
     }
-    const Tick bound = probeFor(a, now).readyAt;
-    boundTick_[b] = bound;
-    boundEpoch_[b] = cmdEpoch_;
+    slot = {epoch, a->id, probeFor(a, now).readyAt};
     if (intro_)
         intro_->noteFrontHorizonMiss();
-    return bound;
+    return slot.readyAt;
 }
 
 Scheduler::Issued
 Scheduler::issueFor(MemAccess *a, Tick now)
 {
-    // Any command on this channel can move other banks' deadlines
-    // (command bus, tRRD/tFAW, tWTR, data-bus occupancy).
-    invalidateBounds();
     const dram::CmdType type = nextCmd(a);
     if (a->firstCmdAt == kTickMax) {
         a->firstCmdAt = now;

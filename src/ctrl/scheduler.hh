@@ -150,9 +150,7 @@ class Scheduler
 
     explicit Scheduler(const SchedulerContext &ctx) : ctx_(ctx)
     {
-        const std::uint32_t n = ctx_.mem ? numBanks() : 0;
-        boundTick_.assign(n, 0);
-        boundEpoch_.assign(n, 0);
+        bounds_.resize(ctx_.mem ? numBanks() : 0);
     }
     virtual ~Scheduler() = default;
 
@@ -245,10 +243,8 @@ class Scheduler
 
     /**
      * Tell the scheduler it is driving the event-driven engine: it may
-     * maintain horizon caches keyed on the monotone evolution of device
-     * timing state (deadlines only move later, except through this
-     * channel's own issues and the refresh engine — see
-     * onExternalCommand()). Off by default so the step engine stays a
+     * cache bank bounds keyed on the channel's device epoch (see
+     * MemorySystem::epoch()). Off by default so the step engine stays a
      * cache-free per-cycle reference. Virtual (like the other engine
      * flags) so decorating schedulers can forward the flag to the
      * wrapped policy — the inner scheduler computes the bounds.
@@ -256,47 +252,33 @@ class Scheduler
     virtual void setEventDriven(bool on) { eventDriven_ = on; }
 
     /**
-     * The controller's refresh engine issued a command (Precharge or
-     * RefreshAll) on this channel — or a refresh-drain gate flipped:
-     * channel timing state changed outside the scheduler's own issue
-     * path, so every cached bank bound is stale. Overrides must call
-     * the base (or invalidateBounds()) to keep the shared cache exact.
-     */
-    virtual void onExternalCommand() { invalidateBounds(); }
-
-    /**
-     * Allow or forbid the per-bank bound cache (and any policy-level
-     * memo). On by default; `--no-horizon-memo` turns it off so the
-     * fuzzer can difference introspection totals cached vs uncached.
+     * Allow or forbid the per-bank bound cache. On by default;
+     * `--no-horizon-memo` turns it off (with the controller's horizon
+     * memo) so the fuzzer can difference introspection totals cached
+     * vs uncached.
      */
     virtual void setHorizonMemo(bool on) { horizonMemo_ = on; }
 
     /**
-     * Retired engine flag, kept so decorators that forward it still
-     * build: issue bounds are always the exact MemorySystem::probe()
-     * readyAt, whatever the observability pillars. A no-op.
-     */
-    virtual void setExactBounds(bool on) { (void)on; }
-
-    /**
      * A band signature over the global counters this policy's
-     * arbitration actually compares against (write-queue watermarks,
-     * burst thresholds). The controller's per-channel horizon memo for
-     * a globally-sensitive policy stays valid while this signature and
-     * the channel's queue version both hold, so unrelated count drift
-     * (e.g. another channel completing reads) no longer forces a
-     * re-derivation. Policies returning true from globallySensitive()
-     * must override this to cover every banded comparison they make.
+     * arbitration compares against (write-queue watermarks, burst
+     * thresholds). The controller's per-channel horizon memo stays
+     * valid while the channel's device epoch, its queue version and
+     * this signature all hold, so count drift that crosses no band
+     * (e.g. another channel completing reads) forces no re-derivation.
+     * A policy that reads GlobalCounts must override this to cover
+     * every banded comparison it makes; one that reads none keeps the
+     * constant 0.
      */
     virtual std::uint64_t globalSignature() const { return 0; }
 
-    /**
-     * Does the issue decision read state outside this channel — the
-     * global read/write counts (GlobalCounts)? The controller's horizon
-     * memo must then be invalidated whenever those counts change, not
-     * only on this channel's own enqueues and issues. Policies with
-     * write-queue thresholds or drain modes (Intel, Burst) return true.
-     */
+    // Retired engine hooks, kept as no-ops so decorators that forward
+    // them still build. Nothing calls them: bounds are always the exact
+    // MemorySystem::probe() readyAt, the device epoch covers every
+    // command and drain-gate change, and globalSignature() alone says
+    // what a policy reads of the global counts.
+    virtual void setExactBounds(bool on) { (void)on; }
+    virtual void onExternalCommand() {}
     virtual bool globallySensitive() const { return false; }
 
     /**
@@ -385,26 +367,14 @@ class Scheduler
                                    Tick now,
                                    obs::StallAttribution &sink) const;
 
-    /** Is the per-bank bound cache usable? Every constraint the probe
-     *  composes into readyAt is a fixed deadline moved only by this
-     *  channel's own commands, so a cached bound stays *equal* to a
-     *  fresh computation until invalidateBounds(). */
-    bool cacheOn() const { return eventDriven_ && horizonMemo_; }
-
-    /** Every cached bank bound is stale (a command issued on this
-     *  channel, a drain gate flipped, a refresh fired). */
-    void invalidateBounds() const { cmdEpoch_ += 1; }
-
-    /** Bank @p b's probe candidate changed (new front / new ongoing):
-     *  its cached bound no longer describes the right command. */
-    void clearBound(std::uint32_t b) const { boundEpoch_[b] = 0; }
-
     /**
      * Cached probeFor() readyAt: the exact issue bound for bank @p b's
-     * candidate @p a, reusing the cached value when nothing on this
-     * channel changed since it was computed. `result <= now` is the
+     * candidate @p a. The cached value is reused while the channel's
+     * device epoch and the candidate's access id both match the ones
+     * it was computed under: nothing then moved a deadline the probe
+     * reads, nor changed the command probed. `result <= now` is the
      * legality predicate; `result > now` is a sound (and exact) wake
-     * tick. Probes afresh when the cache is off.
+     * tick. Probes afresh under the step engine or `--no-horizon-memo`.
      */
     Tick bankBound(std::uint32_t b, const MemAccess *a, Tick now) const;
 
@@ -436,12 +406,14 @@ class Scheduler
     obs::EngineIntrospect *intro_ = nullptr; //!< nullptr = pillar off
     bool eventDriven_ = false; //!< horizon caches allowed (skip engine)
     bool horizonMemo_ = true;  //!< bound caches permitted (debug flag)
-    /** Per-bank cached issue bound, valid while boundEpoch_ matches
-     *  cmdEpoch_ (exact under the own-channel-command invalidation
-     *  discipline; see cacheOn()). */
-    mutable std::vector<Tick> boundTick_;
-    mutable std::vector<std::uint64_t> boundEpoch_;
-    mutable std::uint64_t cmdEpoch_ = 1; //!< 0 is the "stale" sentinel
+    /** One bank's cached issue bound (see bankBound()). */
+    struct BoundSlot
+    {
+        std::uint64_t epoch = ~std::uint64_t(0); //!< never a live epoch
+        std::uint64_t id = 0;                    //!< candidate access
+        Tick readyAt = 0;
+    };
+    mutable std::vector<BoundSlot> bounds_; //!< per bank
     /** Set by nextEventTick implementations at each bound site. */
     mutable HorizonPin pin_ = HorizonPin::None;
     /** Set by stallScan implementations: the access behind the returned

@@ -137,7 +137,6 @@ BurstScheduler::maybePreempt(std::uint32_t b, Tick now)
     bs.writeQ.push_front(a);
     bs.ongoing = nullptr;
     bs.ongoingFromBurst = false;
-    clearBound(b);
     preemptions_ += 1;
     // Figure 5 line 11: the first read of the next burst starts now.
     arbitrate(b, now);
@@ -157,7 +156,6 @@ BurstScheduler::arbitrate(std::uint32_t b, Tick now)
         bs.ongoing = *it;
         bs.ongoingFromBurst = false;
         bs.writeQ.erase(it);
-        clearBound(b);
     };
 
     // Figure 5, lines 1-8.
@@ -207,7 +205,6 @@ BurstScheduler::arbitrate(std::uint32_t b, Tick now)
             panic("empty burst left in read queue");
         bs.ongoing = front.reads.front();
         front.reads.pop_front();
-        clearBound(b);
         bs.ongoingFromBurst = true;
         bs.ongoingFirstOfBurst = !bs.frontStarted;
         bs.frontStarted = true;

@@ -54,7 +54,6 @@ class BurstScheduler : public Scheduler
     dram::StallCause stallScan(Tick now,
                                obs::StallAttribution &sink) const override;
     Tick nextEventTick(Tick now) const override;
-    bool globallySensitive() const override { return true; }
     void onIdleSpan(Tick from, Tick span) override;
 
     /** Bands of the global write count Figure 5 compares: queue-full,

@@ -88,7 +88,6 @@ ContentionScheduler::fillSlot(std::uint32_t b)
         return; // drain mode gates every queued access of this bank
     ongoing_[b] = q[i];
     q.erase(q.begin() + std::ptrdiff_t(i));
-    clearBound(b); // new probe candidate for this bank
 }
 
 Scheduler::Issued

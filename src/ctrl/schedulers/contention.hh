@@ -107,7 +107,6 @@ class ContentionScheduler : public Scheduler
     Tick nextEventTick(Tick now) const override;
     std::map<std::string, double> extraStats() const override;
     std::uint64_t globalSignature() const override;
-    bool globallySensitive() const override { return watermark_; }
 
   protected:
     /**

@@ -57,7 +57,6 @@ class FaultyScheduler : public Scheduler
      */
     Tick nextEventTick(Tick now) const override;
 
-    void onExternalCommand() override { inner_->onExternalCommand(); }
     void setIntrospect(obs::EngineIntrospect *intro) override
     {
         Scheduler::setIntrospect(intro);
@@ -81,13 +80,9 @@ class FaultyScheduler : public Scheduler
         Scheduler::setAuditor(auditor);
         inner_->setAuditor(auditor);
     }
-    bool globallySensitive() const override
-    {
-        return inner_->globallySensitive();
-    }
-    // Without this forward a wrapped globally-sensitive policy would
-    // present the base signature (0): the controller's horizon memo
-    // would survive watermark/threshold band crossings it must not.
+    // Without this forward a wrapped policy that reads global counts
+    // would present the base signature (0): the controller's horizon
+    // memo would survive watermark/threshold band crossings it must not.
     std::uint64_t globalSignature() const override
     {
         return inner_->globalSignature();

@@ -43,7 +43,6 @@ IntelScheduler::arbitrate()
             if (a && a->isWrite() && !readQ_[b].empty()) {
                 writeQ_.push_front(a); // it was the oldest write
                 ongoing_[b] = nullptr;
-                clearBound(b);
                 preemptions_ += 1;
             }
         }
@@ -72,7 +71,6 @@ IntelScheduler::arbitrate()
                 busy += 1;
                 ongoing_[b] = *it;
                 startSeq_[b] = ++seq_;
-                clearBound(b);
                 it = writeQ_.erase(it);
             } else {
                 ++it;
@@ -111,7 +109,6 @@ IntelScheduler::arbitrate()
         }
         ongoing_[b] = *pick;
         startSeq_[b] = ++seq_;
-        clearBound(b);
         q.erase(pick);
         ongoing_count += 1;
     }

@@ -45,7 +45,6 @@ class IntelScheduler : public Scheduler
     dram::StallCause stallScan(Tick now,
                                obs::StallAttribution &sink) const override;
     Tick nextEventTick(Tick now) const override;
-    bool globallySensitive() const override { return true; }
 
     /** Bands of the global write count the patent's arbitration
      *  compares: queue-full (flush trigger) and half-empty (flush

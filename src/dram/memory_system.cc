@@ -20,6 +20,7 @@ MemorySystem::MemorySystem(const DramConfig &cfg)
     refreshDrain_.assign(std::size_t(cfg_.channels) *
                              cfg_.ranksPerChannel,
                          0);
+    epoch_.assign(cfg_.channels, 0);
 }
 
 std::uint8_t &
@@ -189,6 +190,7 @@ MemorySystem::issue(const Command &cmd, Tick now)
     }
 
     ch.useCmdBus(now);
+    epoch_[cmd.at.channel] += 1;
 
     IssueResult res;
     switch (cmd.type) {

@@ -101,9 +101,10 @@ class MemorySystem
      * kTickMax behind a state gate such as a wrong row or a refresh
      * drain), the first binding cause, and the tick that cause expires
      * or flips. Every constraint is a fixed deadline that only a later
-     * command on the same channel (or a drain-gate flip) can move: that
-     * keeps readyAt exact for the schedulers' per-bank bound caches and
-     * causeUntil exact for the stall accountant's span splits.
+     * command on the same channel (or a drain-gate flip) can move, i.e.
+     * only an epoch() bump: that keeps readyAt exact for the skip
+     * engine's caches and causeUntil exact for the stall accountant's
+     * span splits.
      */
     Probe probe(const Command &cmd, Tick now) const;
 
@@ -157,13 +158,6 @@ class MemorySystem
     /** Issue counts per command type (feeds the energy model). */
     const CommandCounts &commandCounts() const { return cmdCounts_; }
 
-    /** Mutable rank access (used by the controller's refresh engine). */
-    Rank &
-    rankRef(std::uint32_t channel, std::uint32_t rank)
-    {
-        return channels_[channel].rank(rank);
-    }
-
     /**
      * Refresh-drain gate: while set for a rank, Activate commands to it
      * are reported blocked (StallCause::RefreshDrain), so schedulers
@@ -171,13 +165,19 @@ class MemorySystem
      * RefreshAll. Without this gate a busy scheduler can re-activate
      * banks as fast as the refresh engine precharges them and starve
      * the refresh forever. Set and cleared by the controller's refresh
-     * engine; never by the device itself.
+     * engine; never by the device itself. A change bumps the channel's
+     * epoch().
      */
     void
     setRefreshDrain(std::uint32_t channel, std::uint32_t rank, bool on)
     {
-        refreshDrain_[std::size_t(channel) * cfg_.ranksPerChannel +
-                      rank] = on;
+        std::uint8_t &gate =
+            refreshDrain_[std::size_t(channel) * cfg_.ranksPerChannel +
+                          rank];
+        if (gate != std::uint8_t(on)) {
+            gate = on;
+            epoch_[channel] += 1;
+        }
     }
 
     /** Is the refresh-drain gate set for this rank? */
@@ -187,6 +187,20 @@ class MemorySystem
         return refreshDrain_[std::size_t(channel) *
                                  cfg_.ranksPerChannel +
                              rank] != 0;
+    }
+
+    /**
+     * Channel @p channel's device epoch: bumped by every command issued
+     * on the channel and by every change of one of its refresh-drain
+     * gates, the only events that move a deadline or a gate probe()
+     * reads. While it holds, probe(cmd, t2).readyAt equals
+     * max(t2, probe(cmd, t1).readyAt) for any t1 < t2: the one
+     * staleness rule of the schedulers' bound caches and the
+     * controller's horizon memo.
+     */
+    std::uint64_t epoch(std::uint32_t channel) const
+    {
+        return epoch_[channel];
     }
 
   private:
@@ -206,6 +220,7 @@ class MemorySystem
     class CommandObserver *observer_ = nullptr;
     std::vector<std::uint8_t> predictor_;
     std::vector<std::uint8_t> refreshDrain_;
+    std::vector<std::uint64_t> epoch_; //!< per channel, see epoch()
     std::uint64_t predCloses_ = 0;
     std::uint64_t predColumns_ = 0;
     CommandCounts cmdCounts_;

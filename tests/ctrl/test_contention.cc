@@ -217,13 +217,20 @@ TEST(WatermarkDrain, HysteresisDrainsWritesThenReturnsToReads)
 
 TEST(WatermarkDrain, OffByDefaultAndGloballyInsensitiveWithoutIt)
 {
+    // Globally insensitive: the band signature stays the constant 0
+    // while the global write count moves, so the controller's horizon
+    // memo never re-derives on another channel's traffic.
     Harness plain(ctrl::Mechanism::FrFcfs);
-    EXPECT_FALSE(plain.sched().globallySensitive());
+    EXPECT_EQ(plain.sched().globalSignature(), 0u);
+    plain.add(AccessType::Write, 0, 0, 1, 0);
+    EXPECT_EQ(plain.sched().globalSignature(), 0u);
 
     ctrl::SchedulerParams params;
     params.watermarkDrain = true;
     Harness wd(ctrl::Mechanism::FrFcfs, schedtest::smallDram(), params);
-    EXPECT_TRUE(wd.sched().globallySensitive());
+    const std::uint64_t idle = wd.sched().globalSignature();
+    wd.add(AccessType::Write, 0, 0, 1, 0);
+    EXPECT_NE(wd.sched().globalSignature(), idle);
 
     // The watermark axis belongs to the contention families alone: the
     // baselines on the same chassis ignore the flag entirely.
@@ -231,7 +238,8 @@ TEST(WatermarkDrain, OffByDefaultAndGloballyInsensitiveWithoutIt)
          {ctrl::Mechanism::BkInOrder, ctrl::Mechanism::RowHit,
           ctrl::Mechanism::AdaptiveHistory}) {
         Harness base(m, schedtest::smallDram(), params);
-        EXPECT_FALSE(base.sched().globallySensitive())
+        base.add(AccessType::Write, 0, 0, 1, 0);
+        EXPECT_EQ(base.sched().globalSignature(), 0u)
             << ctrl::mechanismName(m);
 
         std::string json[2];

@@ -3,7 +3,7 @@
  * Named regression tests for the bugs the differential fuzzer found
  * (one test per fixed bug, mirroring the minimised corpus entries) and
  * the hardening the fuzzing PR shipped alongside them: zero-window
- * timing constraints on DDR-266 and the refresh-wake memo under the
+ * timing constraints on DDR-266 and the refresh horizon walk under the
  * cycle-skipping engine with a refresh interval prime to skip spans.
  */
 
@@ -131,11 +131,12 @@ TEST(FuzzRegressions, Ddr266BaselineAuditFatalClean)
     EXPECT_NO_THROW(runExperiment(cfg)); // Fatal audit throws on any hit
 }
 
-// Satellite: the refreshWake_ memo must stay exact under the skip
-// engine when tREFI is prime relative to every natural skip span —
-// 3119 and 1039 are prime, so refresh deadlines land at maximally
-// awkward offsets inside skipped regions. Byte-identical output
-// against the step engine proves no refresh is deferred or doubled.
+// The controller's refresh horizon walk (nextEventTick's per-rank
+// mirror of refreshTick) must stay exact under the skip engine when
+// tREFI is prime relative to every natural skip span — 3119 and 1039
+// are prime, so refresh deadlines land at maximally awkward offsets
+// inside skipped regions. Byte-identical output against the step
+// engine proves no refresh is deferred or doubled.
 TEST(FuzzRegressions, RefreshPrimeEngineEquivalence)
 {
     for (auto dev : {sim::DeviceGen::DDR2_800, sim::DeviceGen::DDR_266}) {
@@ -161,8 +162,9 @@ TEST(FuzzRegressions, RefreshPrimeEngineEquivalence)
 
 // The refresh-heavy variant maximises drain-gate traffic; equivalence
 // here pins the gate's set/clear points to the same ticks in both
-// engines (the gate state is invisible to the skip-engine memo, so a
-// divergence would surface as a one-byte JSON diff).
+// engines (a gate change bumps the channel's device epoch, which the
+// skip engine's caches key on, so a gate set or cleared at another
+// tick would surface as a one-byte JSON diff).
 TEST(FuzzRegressions, RefreshHeavyEngineEquivalence)
 {
     sim::ExperimentConfig cfg;

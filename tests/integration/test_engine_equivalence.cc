@@ -4,7 +4,7 @@
  * byte-identical to the tick-accurate step engine — not approximately
  * equal, identical. Every statistic the simulator can emit (result
  * JSON, stall-attribution JSON, metrics time series) is compared as a
- * rendered string across the five scheduler classes, single-core and
+ * rendered string across the nine scheduler classes, single-core and
  * CMP, DDR2-800 and DDR-266, with and without observability pillars.
  *
  * This suite is what licenses every horizon shortcut in the skip
@@ -354,32 +354,50 @@ TEST_P(EveryPair, MemoOffByteIdentical)
 
 TEST(HorizonMemoEdgeCases, MemoIsTransparentToSkipDecisions)
 {
-    // Stronger than byte-identical stats: the memo must not change
-    // *which* cycles are skipped. Skipped/stepped introspection totals
-    // must match exactly between memo-on and memo-off runs (the fuzz
-    // engine_equivalence oracle checks the same invariant).
-    for (auto m : kSchedulerClasses) {
-        ExperimentConfig cfg;
-        cfg.workload = "mcf";
-        cfg.mechanism = m;
-        cfg.instructions = kInstr;
-        cfg.engine = EngineKind::Skip;
-        cfg.obs.engineIntrospect = true;
+    // Stronger than byte-identical stats: the caches must not change
+    // *which* cycles are skipped, nor why. Every introspection count
+    // except the two cache counters (sched_memo, front_horizon) must
+    // match exactly between memo-on and memo-off runs (the fuzzer's
+    // memo_transparency oracle checks the totals too). mcf keeps the
+    // channels busy; pchase skips most cycles.
+    for (const char *workload : {"mcf", "pchase"}) {
+        for (auto m : kSchedulerClasses) {
+            SCOPED_TRACE(std::string(ctrl::mechanismName(m)) + " " +
+                         workload);
+            ExperimentConfig cfg;
+            cfg.workload = workload;
+            cfg.mechanism = m;
+            cfg.instructions = kInstr;
+            cfg.engine = EngineKind::Skip;
+            cfg.obs.engineIntrospect = true;
 
-        cfg.horizonMemo = true;
-        const RunResult memo = runExperiment(cfg);
-        cfg.horizonMemo = false;
-        const RunResult bare = runExperiment(cfg);
+            cfg.horizonMemo = true;
+            const RunResult memo = runExperiment(cfg);
+            cfg.horizonMemo = false;
+            const RunResult bare = runExperiment(cfg);
 
-        ASSERT_NE(memo.obs, nullptr);
-        ASSERT_NE(bare.obs, nullptr);
-        const auto *im = memo.obs->introspect();
-        const auto *ib = bare.obs->introspect();
-        EXPECT_EQ(im->steppedCycles(), ib->steppedCycles())
-            << ctrl::mechanismName(m);
-        EXPECT_EQ(im->skippedCycles(), ib->skippedCycles())
-            << ctrl::mechanismName(m);
-        EXPECT_EQ(memo.memCycles, bare.memCycles) << ctrl::mechanismName(m);
+            ASSERT_NE(memo.obs, nullptr);
+            ASSERT_NE(bare.obs, nullptr);
+            const auto *im = memo.obs->introspect();
+            const auto *ib = bare.obs->introspect();
+            EXPECT_EQ(memo.memCycles, bare.memCycles);
+            EXPECT_EQ(im->steppedCycles(), ib->steppedCycles());
+            EXPECT_EQ(im->skippedCycles(), ib->skippedCycles());
+            EXPECT_EQ(im->skipSpans(), ib->skipSpans());
+            EXPECT_EQ(im->blockedTotal(), ib->blockedTotal());
+            for (std::size_t i = 0; i < obs::kNumWakeReasons; ++i) {
+                const auto r = obs::WakeReason(i);
+                EXPECT_EQ(im->wakeCount(r), ib->wakeCount(r))
+                    << obs::wakeReasonName(r);
+                EXPECT_EQ(im->skippedBy(r), ib->skippedBy(r))
+                    << obs::wakeReasonName(r);
+                EXPECT_EQ(im->blockedCount(r), ib->blockedCount(r))
+                    << obs::wakeReasonName(r);
+            }
+            for (std::size_t b = 0; b < obs::kNumSpanBuckets; ++b)
+                EXPECT_EQ(im->spanBucket(b), ib->spanBucket(b))
+                    << obs::EngineIntrospect::spanBucketLabel(b);
+        }
     }
 }
 
