@@ -198,7 +198,7 @@ checkPoint(const FuzzPoint &p, const OracleOptions &opt)
     // cycles, and every per-reason resume/blocked sum matches its
     // total. A miss means skipHorizon() attributed a wake to the wrong
     // place or the engine skipped cycles nobody accounted for.
-    if (opt.selfprofIdentity) {
+    {
         OracleOptions iopt = opt;
         iopt.configTweak = [&opt](sim::ExperimentConfig &cfg) {
             cfg.obs.engineIntrospect = true;
@@ -278,35 +278,33 @@ checkPoint(const FuzzPoint &p, const OracleOptions &opt)
             return v;
         }
 
-        if (opt.memoTransparency) {
-            sim::RunResult uncached;
-            if (!introspected(false, true, uncached))
-                return v;
-            const obs::EngineIntrospect *iu =
-                uncached.obs ? uncached.obs->introspect() : nullptr;
-            if (!iu) {
-                v.ok = false;
-                v.oracle = "memo_transparency";
-                v.detail = "introspection pillar missing on a memo run";
-                return v;
-            }
-            if (ic->steppedCycles() != iu->steppedCycles() ||
-                ic->skippedCycles() != iu->skippedCycles() ||
-                cached.memCycles != uncached.memCycles ||
-                cached.execCpuCycles != uncached.execCpuCycles) {
-                v.ok = false;
-                v.oracle = "memo_transparency";
-                std::ostringstream os;
-                os << "caches changed engine behaviour: stepped/skipped "
-                   << ic->steppedCycles() << "/" << ic->skippedCycles()
-                   << " cached vs " << iu->steppedCycles() << "/"
-                   << iu->skippedCycles() << " uncached, mem "
-                   << cached.memCycles << " vs " << uncached.memCycles
-                   << ", cpu " << cached.execCpuCycles << " vs "
-                   << uncached.execCpuCycles;
-                v.detail = os.str();
-                return v;
-            }
+        sim::RunResult uncached;
+        if (!introspected(false, true, uncached))
+            return v;
+        const obs::EngineIntrospect *iu =
+            uncached.obs ? uncached.obs->introspect() : nullptr;
+        if (!iu) {
+            v.ok = false;
+            v.oracle = "memo_transparency";
+            v.detail = "introspection pillar missing on a memo run";
+            return v;
+        }
+        if (ic->steppedCycles() != iu->steppedCycles() ||
+            ic->skippedCycles() != iu->skippedCycles() ||
+            cached.memCycles != uncached.memCycles ||
+            cached.execCpuCycles != uncached.execCpuCycles) {
+            v.ok = false;
+            v.oracle = "memo_transparency";
+            std::ostringstream os;
+            os << "caches changed engine behaviour: stepped/skipped "
+               << ic->steppedCycles() << "/" << ic->skippedCycles()
+               << " cached vs " << iu->steppedCycles() << "/"
+               << iu->skippedCycles() << " uncached, mem "
+               << cached.memCycles << " vs " << uncached.memCycles
+               << ", cpu " << cached.execCpuCycles << " vs "
+               << uncached.execCpuCycles;
+            v.detail = os.str();
+            return v;
         }
 
         sim::RunResult bare;
@@ -337,7 +335,7 @@ checkPoint(const FuzzPoint &p, const OracleOptions &opt)
     // telescoping identity, (b) byte-identical access streams across
     // engines (FNV digest over the JSONL lines), and (c) unperturbed
     // simulated statistics.
-    if (opt.critpathIdentity) {
+    {
         OracleOptions copt = opt;
         copt.configTweak = [&opt](sim::ExperimentConfig &cfg) {
             cfg.obs.critPath = true;

@@ -81,15 +81,8 @@ struct OracleOptions
      * stream latency, so a modest single-core regression is by design.
      */
     double contentionTolerance = 1.30;
-    /** Skip the (expensive) two-run cross-scheduler bound. */
+    /** Run the (expensive) two-run cross-scheduler bound. */
     bool crossScheduler = true;
-    /** Skip the extra introspected run of the selfprof_identity oracle. */
-    bool selfprofIdentity = true;
-    /** Skip the extra cache-disabled run of the memo_transparency
-     *  oracle. */
-    bool memoTransparency = true;
-    /** Skip the two extra traced runs of the critpath_identity oracle. */
-    bool critpathIdentity = true;
     /** Test hook: mutate the lowered config before each run. */
     std::function<void(sim::ExperimentConfig &)> configTweak;
 };

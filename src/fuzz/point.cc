@@ -5,8 +5,11 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.hh"
+#include "common/fnv.hh"
+#include "sim/run_axes.hh"
 #include "trace/spec_profiles.hh"
 
 namespace bsim::fuzz
@@ -15,109 +18,15 @@ namespace bsim::fuzz
 namespace
 {
 
-/** FNV-1a for content-addressed scratch trace files. */
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 14695981039346656037ULL;
-    for (const char c : s) {
-        h ^= std::uint8_t(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
+/** The "trace prefix" repro axis: the shrinker halves it instead of
+ *  resetting it, so it is not counted as a changed axis. */
+constexpr std::string_view kPrefixAxis = "instructions";
 
-// Token tables; the string forms match the burstsim CLI's options so a
-// repro file reads like a command line.
-
-const char *
-pagePolicyToken(dram::PagePolicy p)
+/** The token of repro axis @p name in @p p. */
+std::string
+token(const FuzzPoint &p, const char *name)
 {
-    switch (p) {
-      case dram::PagePolicy::OpenPage: return "open";
-      case dram::PagePolicy::ClosePageAuto: return "cpa";
-      case dram::PagePolicy::Predictive: return "predictive";
-    }
-    return "?";
-}
-
-dram::PagePolicy
-parsePagePolicy(const std::string &s)
-{
-    if (s == "open")
-        return dram::PagePolicy::OpenPage;
-    if (s == "cpa")
-        return dram::PagePolicy::ClosePageAuto;
-    if (s == "predictive")
-        return dram::PagePolicy::Predictive;
-    throwSimError(ErrorCategory::Config, "repro: unknown page policy '%s'",
-                  s.c_str());
-}
-
-const char *
-addressMapToken(dram::AddressMapKind k)
-{
-    switch (k) {
-      case dram::AddressMapKind::PageInterleave: return "page";
-      case dram::AddressMapKind::BlockInterleave: return "block";
-      case dram::AddressMapKind::BitReversal: return "bitrev";
-      case dram::AddressMapKind::PermutationInterleave: return "perm";
-    }
-    return "?";
-}
-
-dram::AddressMapKind
-parseAddressMap(const std::string &s)
-{
-    if (s == "page")
-        return dram::AddressMapKind::PageInterleave;
-    if (s == "block")
-        return dram::AddressMapKind::BlockInterleave;
-    if (s == "bitrev")
-        return dram::AddressMapKind::BitReversal;
-    if (s == "perm")
-        return dram::AddressMapKind::PermutationInterleave;
-    throwSimError(ErrorCategory::Config, "repro: unknown address map '%s'",
-                  s.c_str());
-}
-
-const char *
-deviceToken(sim::DeviceGen d)
-{
-    return d == sim::DeviceGen::DDR_266 ? "ddr-266" : "ddr2-800";
-}
-
-sim::DeviceGen
-parseDevice(const std::string &s)
-{
-    if (s == "ddr2-800")
-        return sim::DeviceGen::DDR2_800;
-    if (s == "ddr-266")
-        return sim::DeviceGen::DDR_266;
-    throwSimError(ErrorCategory::Config, "repro: unknown device '%s'",
-                  s.c_str());
-}
-
-std::uint64_t
-parseU64(const std::string &key, const std::string &s)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (!end || *end != '\0' || s.empty())
-        throwSimError(ErrorCategory::Config,
-                      "repro: %s expects a number, got '%s'", key.c_str(),
-                      s.c_str());
-    return v;
-}
-
-bool
-parseBool(const std::string &key, const std::string &s)
-{
-    if (s == "0" || s == "1")
-        return s == "1";
-    throwSimError(ErrorCategory::Config,
-                  "repro: %s expects 0 or 1, got '%s'", key.c_str(),
-                  s.c_str());
+    return sim::runAxis(name).print(p);
 }
 
 /** Workloads the sampler draws from (paper set + pchase). */
@@ -228,56 +137,34 @@ samplePoint(Rng &rng)
 sim::ExperimentConfig
 toConfig(const FuzzPoint &p, const std::string &scratch_dir)
 {
-    sim::ExperimentConfig cfg;
-    if (p.workload == kInlineTraceWorkload) {
-        // Content-addressed scratch file: replays of the same point
-        // (shrinker probes, corpus reruns) share one materialisation.
-        std::string body;
-        for (const std::string &line : p.trace) {
-            body += line;
-            body += '\n';
-        }
-        namespace fs = std::filesystem;
-        const fs::path dir = scratch_dir.empty()
-                                 ? fs::temp_directory_path()
-                                 : fs::path(scratch_dir);
-        char name[64];
-        std::snprintf(name, sizeof(name), "bsim-fuzz-%016" PRIx64 ".trace",
-                      fnv1a(body));
-        const fs::path path = dir / name;
-        std::error_code ec;
-        fs::create_directories(dir, ec);
-        if (!fs::exists(path)) {
-            std::ofstream os(path);
-            os << body;
-            if (!os)
-                throwSimError(ErrorCategory::Resource,
-                              "cannot write scratch trace '%s'",
-                              path.string().c_str());
-        }
-        cfg.workload = "@" + path.string();
-    } else {
-        cfg.workload = p.workload;
+    sim::ExperimentConfig cfg = p;
+    if (p.workload != kInlineTraceWorkload)
+        return cfg;
+    // Content-addressed scratch file: replays of the same point
+    // (shrinker probes, corpus reruns) share one materialisation.
+    std::string body;
+    for (const std::string &line : p.trace) {
+        body += line;
+        body += '\n';
     }
-    cfg.mechanism = p.mechanism;
-    cfg.instructions = p.instructions;
-    cfg.seed = p.seed;
-    cfg.threshold = p.threshold;
-    cfg.pagePolicy = p.pagePolicy;
-    cfg.addressMap = p.addressMap;
-    cfg.device = p.device;
-    cfg.timingVariant = p.timingVariant;
-    cfg.channels = p.channels;
-    cfg.ranksPerChannel = p.ranksPerChannel;
-    cfg.banksPerRank = p.banksPerRank;
-    cfg.dynamicThreshold = p.dynamicThreshold;
-    cfg.sortBurstsBySize = p.sortBurstsBySize;
-    cfg.criticalFirst = p.criticalFirst;
-    cfg.rankAware = p.rankAware;
-    cfg.coalesceWrites = p.coalesceWrites;
-    cfg.watermarkDrain = p.watermarkDrain;
-    cfg.robSize = p.robSize;
-    cfg.issueWidth = p.issueWidth;
+    namespace fs = std::filesystem;
+    const fs::path dir = scratch_dir.empty() ? fs::temp_directory_path()
+                                             : fs::path(scratch_dir);
+    char name[64];
+    std::snprintf(name, sizeof(name), "bsim-fuzz-%016" PRIx64 ".trace",
+                  fnv1a(body));
+    const fs::path path = dir / name;
+    std::error_code ec;
+    fs::create_directories(dir, ec);
+    if (!fs::exists(path)) {
+        std::ofstream os(path);
+        os << body;
+        if (!os)
+            throwSimError(ErrorCategory::Resource,
+                          "cannot write scratch trace '%s'",
+                          path.string().c_str());
+    }
+    cfg.workload = "@" + path.string();
     return cfg;
 }
 
@@ -286,25 +173,8 @@ axesChangedFromDefault(const FuzzPoint &p)
 {
     const FuzzPoint d = defaultPoint();
     int n = 0;
-    n += p.workload != d.workload;
-    n += p.mechanism != d.mechanism;
-    n += p.seed != d.seed;
-    n += p.threshold != d.threshold;
-    n += p.pagePolicy != d.pagePolicy;
-    n += p.addressMap != d.addressMap;
-    n += p.device != d.device;
-    n += p.timingVariant != d.timingVariant;
-    n += p.channels != d.channels;
-    n += p.ranksPerChannel != d.ranksPerChannel;
-    n += p.banksPerRank != d.banksPerRank;
-    n += p.dynamicThreshold != d.dynamicThreshold;
-    n += p.sortBurstsBySize != d.sortBurstsBySize;
-    n += p.criticalFirst != d.criticalFirst;
-    n += p.rankAware != d.rankAware;
-    n += p.coalesceWrites != d.coalesceWrites;
-    n += p.watermarkDrain != d.watermarkDrain;
-    n += p.robSize != d.robSize;
-    n += p.issueWidth != d.issueWidth;
+    for (const sim::RunAxis &a : sim::runAxes())
+        n += a.repro && a.name != kPrefixAxis && a.print(p) != a.print(d);
     return n;
 }
 
@@ -315,13 +185,13 @@ pointLabel(const FuzzPoint &p)
     os << p.workload << '/' << ctrl::mechanismName(p.mechanism);
     const FuzzPoint d = defaultPoint();
     if (p.pagePolicy != d.pagePolicy)
-        os << " pp=" << pagePolicyToken(p.pagePolicy);
+        os << " pp=" << token(p, "page_policy");
     if (p.addressMap != d.addressMap)
-        os << " map=" << addressMapToken(p.addressMap);
+        os << " map=" << token(p, "address_map");
     if (p.device != d.device)
-        os << " dev=" << deviceToken(p.device);
+        os << " dev=" << token(p, "device");
     if (p.timingVariant != d.timingVariant)
-        os << " t=" << sim::timingVariantName(p.timingVariant);
+        os << " t=" << token(p, "timing");
     if (p.channels || p.ranksPerChannel || p.banksPerRank)
         os << " geo=" << p.channels << 'x' << p.ranksPerChannel << 'x'
            << p.banksPerRank;
@@ -346,26 +216,9 @@ serializePoint(const FuzzPoint &p, const std::string &note)
         while (std::getline(ns, nline))
             os << "# " << nline << '\n';
     }
-    os << "workload=" << p.workload << '\n'
-       << "mechanism=" << ctrl::mechanismName(p.mechanism) << '\n'
-       << "instructions=" << p.instructions << '\n'
-       << "seed=" << p.seed << '\n'
-       << "threshold=" << p.threshold << '\n'
-       << "page_policy=" << pagePolicyToken(p.pagePolicy) << '\n'
-       << "address_map=" << addressMapToken(p.addressMap) << '\n'
-       << "device=" << deviceToken(p.device) << '\n'
-       << "timing=" << sim::timingVariantName(p.timingVariant) << '\n'
-       << "channels=" << p.channels << '\n'
-       << "ranks=" << p.ranksPerChannel << '\n'
-       << "banks=" << p.banksPerRank << '\n'
-       << "dynamic_threshold=" << p.dynamicThreshold << '\n'
-       << "sort_bursts=" << p.sortBurstsBySize << '\n'
-       << "critical_first=" << p.criticalFirst << '\n'
-       << "rank_aware=" << p.rankAware << '\n'
-       << "coalesce_writes=" << p.coalesceWrites << '\n'
-       << "watermark_drain=" << p.watermarkDrain << '\n'
-       << "rob=" << p.robSize << '\n'
-       << "issue_width=" << p.issueWidth << '\n';
+    for (const sim::RunAxis &a : sim::runAxes())
+        if (a.repro)
+            os << a.name << '=' << a.print(p) << '\n';
     if (p.workload == kInlineTraceWorkload) {
         os << "trace:\n";
         for (const std::string &line : p.trace)
@@ -403,51 +256,14 @@ parsePoint(const std::string &text)
                           "repro line %u: expected key=value, got '%s'",
                           lineno, line.c_str());
         const std::string key = line.substr(0, eq);
-        const std::string val = line.substr(eq + 1);
-        if (key == "workload")
-            p.workload = val;
-        else if (key == "mechanism")
-            p.mechanism = ctrl::parseMechanism(val);
-        else if (key == "instructions")
-            p.instructions = parseU64(key, val);
-        else if (key == "seed")
-            p.seed = parseU64(key, val);
-        else if (key == "threshold")
-            p.threshold = std::size_t(parseU64(key, val));
-        else if (key == "page_policy")
-            p.pagePolicy = parsePagePolicy(val);
-        else if (key == "address_map")
-            p.addressMap = parseAddressMap(val);
-        else if (key == "device")
-            p.device = parseDevice(val);
-        else if (key == "timing")
-            p.timingVariant = sim::timingVariantByName(val);
-        else if (key == "channels")
-            p.channels = std::uint32_t(parseU64(key, val));
-        else if (key == "ranks")
-            p.ranksPerChannel = std::uint32_t(parseU64(key, val));
-        else if (key == "banks")
-            p.banksPerRank = std::uint32_t(parseU64(key, val));
-        else if (key == "dynamic_threshold")
-            p.dynamicThreshold = parseBool(key, val);
-        else if (key == "sort_bursts")
-            p.sortBurstsBySize = parseBool(key, val);
-        else if (key == "critical_first")
-            p.criticalFirst = parseBool(key, val);
-        else if (key == "rank_aware")
-            p.rankAware = parseBool(key, val);
-        else if (key == "coalesce_writes")
-            p.coalesceWrites = parseBool(key, val);
-        else if (key == "watermark_drain")
-            p.watermarkDrain = parseBool(key, val);
-        else if (key == "rob")
-            p.robSize = std::uint32_t(parseU64(key, val));
-        else if (key == "issue_width")
-            p.issueWidth = std::uint32_t(parseU64(key, val));
-        else
+        const sim::RunAxis *axis = sim::findRunAxis(key);
+        if (!axis || !axis->repro)
             throwSimError(ErrorCategory::Config,
                           "repro line %u: unknown key '%s'", lineno,
                           key.c_str());
+        // A missing key keeps its default, so repros written before an
+        // axis existed still parse.
+        sim::setAxis(*axis, p, line.substr(eq + 1), "repro: " + key);
     }
     if (p.workload == kInlineTraceWorkload && p.trace.empty())
         throwSimError(ErrorCategory::Config,

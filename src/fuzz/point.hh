@@ -2,18 +2,19 @@
  * @file
  * One point of the differential fuzzer's search space.
  *
- * A FuzzPoint is a flat, serialisable description of everything a run
- * depends on: workload (a synthetic SPEC profile, or an inline text
- * trace carried inside the point), scheduler mechanism, threshold,
- * DRAM geometry and page/mapping policy, device generation, timing
- * variant, and the extension switches. Points round-trip through a
- * text "repro file" format, so every failure the fuzzer finds becomes
- * a checked-in file anyone can replay with
+ * A FuzzPoint is an ExperimentConfig plus, for the inline-trace
+ * workload, the trace itself. Its repro axes are the run-axis table
+ * (sim/run_axes.hh): workload, scheduler mechanism, threshold, DRAM
+ * geometry and page/mapping policy, device generation, timing variant,
+ * and the extension switches. Points round-trip through a text "repro
+ * file" of `key=token` lines in table order, so every failure the
+ * fuzzer finds becomes a checked-in file anyone can replay with
  *     burstsim_fuzz --replay <file>
  * and the shrinker (shrink.hh) can walk the space axis by axis.
  *
- * The point deliberately excludes std::function hooks and file paths:
- * everything needed to reproduce a run travels in the file itself.
+ * Only the repro axes travel in the file: a point's other config
+ * fields (engine, observability, hooks, file paths) stay at their
+ * defaults, and the oracles set what they need per run.
  */
 
 #ifndef BURSTSIM_FUZZ_POINT_HH
@@ -32,34 +33,18 @@ namespace bsim::fuzz
 /** Sentinel workload name: the point carries its own trace lines. */
 inline const char *const kInlineTraceWorkload = "@inline";
 
-/** One sampled / shrunk / replayed configuration point. */
-struct FuzzPoint
+/**
+ * One sampled / shrunk / replayed configuration point: an
+ * ExperimentConfig plus the inline trace a config cannot carry. Its
+ * repro axes are the sim::runAxes() entries marked `repro`.
+ */
+struct FuzzPoint : sim::ExperimentConfig
 {
-    /** Synthetic profile name, or kInlineTraceWorkload with `trace`. */
-    std::string workload = "swim";
-    /** Trace-file lines (without newlines) when workload is inline. */
-    std::vector<std::string> trace;
+    FuzzPoint() { instructions = 6000; } //!< ignored for inline traces
 
-    ctrl::Mechanism mechanism = ctrl::Mechanism::BkInOrder;
-    std::uint64_t instructions = 6000; //!< ignored for inline traces
-    std::uint64_t seed = 20070212;
-    std::size_t threshold = 52;
-    dram::PagePolicy pagePolicy = dram::PagePolicy::OpenPage;
-    dram::AddressMapKind addressMap = dram::AddressMapKind::PageInterleave;
-    sim::DeviceGen device = sim::DeviceGen::DDR2_800;
-    sim::TimingVariant timingVariant = sim::TimingVariant::Baseline;
-    std::uint32_t channels = 0; //!< 0 = Table 3 baseline
-    std::uint32_t ranksPerChannel = 0;
-    std::uint32_t banksPerRank = 0;
-    bool dynamicThreshold = false;
-    bool sortBurstsBySize = false;
-    bool criticalFirst = false;
-    bool rankAware = true;
-    bool coalesceWrites = false;
-    /** Watermark write-drain mode (contention-aware families only). */
-    bool watermarkDrain = false;
-    std::uint32_t robSize = 0;
-    std::uint32_t issueWidth = 0;
+    /** Trace-file lines (without newlines) when workload is
+     *  kInlineTraceWorkload. */
+    std::vector<std::string> trace;
 };
 
 /** The all-defaults point (the shrinker's target). */

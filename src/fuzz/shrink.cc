@@ -1,6 +1,8 @@
 #include "fuzz/shrink.hh"
 
-#include <vector>
+#include <string>
+
+#include "sim/run_axes.hh"
 
 namespace bsim::fuzz
 {
@@ -8,71 +10,20 @@ namespace bsim::fuzz
 namespace
 {
 
-/** One resettable config axis: copy the default's field into a probe. */
-using AxisReset = void (*)(FuzzPoint &, const FuzzPoint &);
-
-const std::vector<AxisReset> &
-axisResets()
-{
-    // Order matters only for taste: reset the exotic axes first so the
-    // surviving repro reads as "default + the interesting bits".
-    static const std::vector<AxisReset> kResets = {
-        [](FuzzPoint &p, const FuzzPoint &d) { p.robSize = d.robSize; },
-        [](FuzzPoint &p, const FuzzPoint &d) {
-            p.issueWidth = d.issueWidth;
-        },
-        [](FuzzPoint &p, const FuzzPoint &d) {
-            p.dynamicThreshold = d.dynamicThreshold;
-        },
-        [](FuzzPoint &p, const FuzzPoint &d) {
-            p.sortBurstsBySize = d.sortBurstsBySize;
-        },
-        [](FuzzPoint &p, const FuzzPoint &d) {
-            p.criticalFirst = d.criticalFirst;
-        },
-        [](FuzzPoint &p, const FuzzPoint &d) {
-            p.rankAware = d.rankAware;
-        },
-        [](FuzzPoint &p, const FuzzPoint &d) {
-            p.coalesceWrites = d.coalesceWrites;
-        },
-        [](FuzzPoint &p, const FuzzPoint &d) {
-            p.watermarkDrain = d.watermarkDrain;
-        },
-        [](FuzzPoint &p, const FuzzPoint &d) {
-            p.channels = d.channels;
-        },
-        [](FuzzPoint &p, const FuzzPoint &d) {
-            p.ranksPerChannel = d.ranksPerChannel;
-        },
-        [](FuzzPoint &p, const FuzzPoint &d) {
-            p.banksPerRank = d.banksPerRank;
-        },
-        [](FuzzPoint &p, const FuzzPoint &d) {
-            p.timingVariant = d.timingVariant;
-        },
-        [](FuzzPoint &p, const FuzzPoint &d) { p.device = d.device; },
-        [](FuzzPoint &p, const FuzzPoint &d) {
-            p.addressMap = d.addressMap;
-        },
-        [](FuzzPoint &p, const FuzzPoint &d) {
-            p.pagePolicy = d.pagePolicy;
-        },
-        [](FuzzPoint &p, const FuzzPoint &d) {
-            p.threshold = d.threshold;
-        },
-        [](FuzzPoint &p, const FuzzPoint &d) { p.seed = d.seed; },
-        [](FuzzPoint &p, const FuzzPoint &d) {
-            p.mechanism = d.mechanism;
-        },
-        [](FuzzPoint &p, const FuzzPoint &d) {
-            // Workload and its inline trace travel together.
-            p.workload = d.workload;
-            p.trace = d.trace;
-        },
-    };
-    return kResets;
-}
+/**
+ * The repro axes the axis pass resets, in order. Order matters only for
+ * taste: reset the exotic axes first so the surviving repro reads as
+ * "default + the interesting bits". `instructions` is missing on
+ * purpose: the trace-prefix pass halves it instead.
+ */
+constexpr const char *kResetOrder[] = {
+    "rob", "issue_width",
+    "dynamic_threshold", "sort_bursts", "critical_first", "rank_aware",
+    "coalesce_writes", "watermark_drain",
+    "channels", "ranks", "banks",
+    "timing", "device", "address_map", "page_policy",
+    "threshold", "seed", "mechanism", "workload",
+};
 
 } // namespace
 
@@ -106,16 +57,17 @@ shrinkPoint(const FuzzPoint &failing, const ShrinkOptions &opt)
         changed = false;
 
         // Axis pass: try resetting each non-default axis.
-        for (const AxisReset reset : axisResets()) {
+        for (const char *name : kResetOrder) {
             if (out.evaluations >= opt.maxEvaluations)
                 break;
-            FuzzPoint probe = out.point;
-            reset(probe, defaults);
-            if (axesChangedFromDefault(probe) ==
-                    axesChangedFromDefault(out.point) &&
-                probe.instructions == out.point.instructions &&
-                probe.trace.size() == out.point.trace.size())
+            const sim::RunAxis &axis = sim::runAxis(name);
+            const std::string def = axis.print(defaults);
+            if (axis.print(out.point) == def)
                 continue; // axis already default: no probe to make
+            FuzzPoint probe = out.point;
+            axis.parse(probe, def);
+            if (probe.workload != kInlineTraceWorkload)
+                probe.trace.clear(); // the trace travels with its workload
             if (stillFails(probe, v)) {
                 out.point = probe;
                 out.verdict = v;

@@ -2,12 +2,13 @@
  * @file
  * Automatic minimisation of a failing FuzzPoint.
  *
- * The shrinker walks the point's config axes greedily: one axis at a
- * time it tries resetting the axis to its default and keeps the reset
- * whenever the point still fails an oracle. After the axes settle it
- * minimises the workload dimension — halving the instruction count of
- * synthetic workloads, or binary-searching the shortest failing prefix
- * of an inline trace — and repeats until a fixpoint. The result is the
+ * The shrinker walks the point's repro axes (sim/run_axes.hh)
+ * greedily: one axis at a time it tries resetting the axis to its
+ * default and keeps the reset whenever the point still fails an
+ * oracle. After the axes settle it minimises the workload dimension —
+ * halving the instruction count of synthetic workloads, or
+ * binary-searching the shortest failing prefix of an inline trace —
+ * and repeats until a fixpoint. The result is the
  * smallest repro in the partial order "fewer axes changed from
  * default, then shorter trace": typically one or two axes and a few
  * hundred instructions, small enough to read and check in as a corpus

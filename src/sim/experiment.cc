@@ -117,18 +117,6 @@ timingVariantName(TimingVariant v)
     return "?";
 }
 
-TimingVariant
-timingVariantByName(const std::string &name)
-{
-    for (std::size_t i = 0; i < kNumTimingVariants; ++i) {
-        const auto v = TimingVariant(i);
-        if (name == timingVariantName(v))
-            return v;
-    }
-    throwSimError(ErrorCategory::Config, "unknown timing variant '%s'",
-                  name.c_str());
-}
-
 std::uint64_t
 defaultInstructions()
 {

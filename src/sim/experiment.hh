@@ -61,9 +61,6 @@ constexpr std::size_t kNumTimingVariants = 5;
 /** Printable variant name (also the repro-file token). */
 const char *timingVariantName(TimingVariant v);
 
-/** Parse a variant token; throws SimError(Config) on unknown names. */
-TimingVariant timingVariantByName(const std::string &name);
-
 /**
  * One simulation run specification. A run is a machine of one or more
  * cores sharing the memory controller (paper Section 6); single-core is

@@ -21,6 +21,7 @@
 #include <unistd.h>
 
 #include "common/crc32.hh"
+#include "common/fnv.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/table.hh"
@@ -31,18 +32,6 @@ namespace bsim::sim
 
 namespace
 {
-
-/** FNV-1a, the repo's standard cheap digest. */
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 14695981039346656037ULL;
-    for (const char c : s) {
-        h ^= std::uint8_t(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
 
 /** "workload/Mechanism" display label of one point. */
 std::string
@@ -525,6 +514,10 @@ canonicalConfig(const ExperimentConfig &cfg)
         os << "|wd";
     if (cfg.fairness)
         os << "|fair";
+    // A fatal protocol audit can fail a point that runs clean without
+    // it, so a resume under --audit fatal must rerun every point.
+    if (cfg.obs.audit == obs::AuditMode::Fatal)
+        os << "|audit";
     std::string s = os.str();
     for (char &c : s)
         if (c == '"' || c == '\n' || c == '\r')

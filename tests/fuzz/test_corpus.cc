@@ -3,7 +3,9 @@
  * Corpus replay: every checked-in repro under tests/fuzz/corpus/ must
  * parse and pass the full oracle battery. Each file is a minimised
  * witness of a bug that was fixed — a failure here means a fixed bug
- * has come back. The directory is baked in at compile time
+ * has come back. Every file must also round-trip through the repro
+ * codec, so a format change that would rewrite a checked-in file fails.
+ * The directory is baked in at compile time
  * (BURSTSIM_FUZZ_CORPUS_DIR) so ctest can run from anywhere.
  */
 
@@ -13,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "fuzz/oracle.hh"
@@ -48,6 +51,18 @@ slurp(const std::string &path)
     return os.str();
 }
 
+/** The non-blank, non-comment lines of a repro file. */
+std::vector<std::string>
+contentLines(const std::string &text)
+{
+    std::vector<std::string> out;
+    std::istringstream is(text);
+    for (std::string line; std::getline(is, line);)
+        if (!line.empty() && line[0] != '#')
+            out.push_back(line);
+    return out;
+}
+
 } // namespace
 
 TEST(Corpus, HasTheKnownRegressionEntries)
@@ -67,4 +82,28 @@ TEST(Corpus, EveryEntryParsesAndPassesAllOracles)
         EXPECT_TRUE(v.ok) << pointLabel(p) << ": [" << v.oracle << "] "
                           << v.detail;
     }
+}
+
+TEST(Corpus, EveryEntryRoundTripsThroughTheReproCodec)
+{
+    // serializePoint(parsePoint(text)) reproduces the file's key and
+    // trace lines. Files written before the watermark_drain axis
+    // existed lack its key and take the default.
+    std::size_t without_watermark = 0;
+    for (const std::string &path : corpusFiles()) {
+        SCOPED_TRACE(path);
+        const std::string text = slurp(path);
+        std::vector<std::string> want = contentLines(text);
+        if (text.find("\nwatermark_drain=") == std::string::npos) {
+            without_watermark += 1;
+            const auto coalesce = std::find_if(
+                want.begin(), want.end(), [](const std::string &l) {
+                    return l.rfind("coalesce_writes=", 0) == 0;
+                });
+            ASSERT_NE(coalesce, want.end());
+            want.insert(coalesce + 1, "watermark_drain=0");
+        }
+        EXPECT_EQ(contentLines(serializePoint(parsePoint(text))), want);
+    }
+    EXPECT_EQ(without_watermark, 4u);
 }

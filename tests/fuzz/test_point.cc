@@ -99,6 +99,25 @@ TEST(FuzzPoint, ParseRejectsMalformedInput)
                      ErrorCategory::Config, "without trace");
 }
 
+TEST(FuzzPoint, BadEnumTokenIsAConfigError)
+{
+    for (const char *key :
+         {"mechanism", "page_policy", "address_map", "device", "timing"}) {
+        SCOPED_TRACE(key);
+        const std::string repro = std::string(key) + "=bogus\n";
+        EXPECT_SIM_ERROR(parsePoint(repro), ErrorCategory::Config,
+                         std::string("repro: ") + key + " expects");
+    }
+}
+
+TEST(FuzzPoint, CliOnlyAxesAreNotReproKeys)
+{
+    for (const char *key :
+         {"engine", "horizon_memo", "watchdog_cycles", "deadline_sec"})
+        EXPECT_SIM_ERROR(parsePoint(std::string(key) + "=0\n"),
+                         ErrorCategory::Config, "unknown key");
+}
+
 TEST(FuzzPoint, SamplerIsDeterministicPerSeed)
 {
     Rng a(42), b(42), c(43);
@@ -164,8 +183,10 @@ TEST(FuzzPoint, TimingVariantNamesRoundTrip)
 {
     for (int i = 0; i < int(sim::kNumTimingVariants); ++i) {
         const auto v = sim::TimingVariant(i);
-        EXPECT_EQ(sim::timingVariantByName(sim::timingVariantName(v)), v);
+        const std::string repro =
+            std::string("timing=") + sim::timingVariantName(v) + "\n";
+        EXPECT_EQ(parsePoint(repro).timingVariant, v);
     }
-    EXPECT_SIM_ERROR(sim::timingVariantByName("warp-speed"),
-                     ErrorCategory::Config, "timing variant");
+    EXPECT_SIM_ERROR(parsePoint("timing=warp-speed\n"),
+                     ErrorCategory::Config, "timing");
 }

@@ -13,6 +13,9 @@
 #include "ctrl/schedulers/faulty.hh"
 #include "fuzz/fuzzer.hh"
 #include "fuzz/shrink.hh"
+#include "sim/run_axes.hh"
+
+#include "run_axes_util.hh"
 
 using namespace bsim;
 using namespace bsim::fuzz;
@@ -63,6 +66,28 @@ TEST(Shrink, InjectedBugShrinksToAtMostThreeAxes)
         << "shrunk point still exotic: " << pointLabel(out.point);
     EXPECT_GT(out.evaluations, 1u);
     EXPECT_LE(out.evaluations, opt.maxEvaluations);
+}
+
+TEST(Shrink, ResetsEveryReproAxis)
+{
+    // The bug fires everywhere, so every axis the shrinker knows how to
+    // reset falls away; an axis missing from its reset order would
+    // survive and show up in the count.
+    FuzzPoint p;
+    for (const auto &[name, token] : offDefaultTokens()) {
+        const sim::RunAxis &axis = sim::runAxis(name);
+        if (axis.repro && name != "instructions")
+            sim::setAxis(axis, p, token, name);
+    }
+    ASSERT_EQ(axesChangedFromDefault(p), 19);
+
+    ShrinkOptions opt;
+    opt.oracle.configTweak = injectFreeze;
+    opt.oracle.crossScheduler = false;
+    const ShrinkOutcome out = shrinkPoint(p, opt);
+    ASSERT_FALSE(out.verdict.ok);
+    EXPECT_EQ(axesChangedFromDefault(out.point), 0)
+        << "still exotic: " << pointLabel(out.point);
 }
 
 TEST(Shrink, MinimisesTheTracePrefixToo)

@@ -4,9 +4,9 @@
  * arithmetic, the single-core identity (a core running alone has
  * slowdown exactly 1), crash-safe resume of a fairness sweep through
  * the sweep journal (hexfloat round-trip, byte-identical CSV), and the
- * config-key canonicalisation — the watermark-drain and fairness axes
- * and the core order must hash distinctly while every pre-existing
- * sweep key stays byte-stable.
+ * config-key canonicalisation — the watermark-drain, fairness and
+ * fatal-audit axes and the core order must hash distinctly while every
+ * pre-existing sweep key stays byte-stable.
  */
 
 #include <gtest/gtest.h>
@@ -162,6 +162,24 @@ TEST(SweepJournal, WatermarkAxisHashesDistinctlyButOldKeysAreStable)
     wd.watermarkDrain = true;
     EXPECT_NE(canonicalConfig(wd).find("|wd"), std::string::npos);
     EXPECT_NE(configKey(cfg), configKey(wd));
+}
+
+TEST(SweepJournal, FatalAuditHashesDistinctlyButOldKeysAreStable)
+{
+    ExperimentConfig cfg;
+    cfg.workload = "swim";
+    cfg.instructions = 4000;
+
+    // A fatal auditor can fail a point that runs clean without it, so
+    // a resume under --audit fatal must rerun every point. Off and
+    // warn never fail a point and keep the pre-existing key.
+    ExperimentConfig warn = cfg, fatal = cfg;
+    warn.obs.audit = obs::AuditMode::Warn;
+    fatal.obs.audit = obs::AuditMode::Fatal;
+    EXPECT_EQ(canonicalConfig(warn), canonicalConfig(cfg));
+    EXPECT_EQ(configKey(warn), configKey(cfg));
+    EXPECT_EQ(canonicalConfig(fatal), canonicalConfig(cfg) + "|audit");
+    EXPECT_NE(configKey(fatal), configKey(cfg));
 }
 
 // ---------------------------------------------------------------------

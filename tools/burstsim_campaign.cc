@@ -43,6 +43,7 @@
 #include "common/error.hh"
 #include "common/log.hh"
 #include "sim/experiment.hh"
+#include "sim/run_axes.hh"
 #include "sim/sweep.hh"
 
 using namespace bsim;
@@ -71,91 +72,13 @@ splitCommas(const std::string &s)
     return out;
 }
 
-/**
- * The point-axis options, kept identical (names, defaults, semantics)
- * to the burstsim CLI so `burstsim_campaign run/merge` builds exactly
- * the point list of `burstsim --sweep` — the byte-identical-CSV
- * guarantee depends on it.
- */
-void
-addPointOptions(ArgParser &args)
-{
-    args.addOption("workload", "swim",
-                   "comma-separated benchmark profiles");
-    args.addOption("instructions", "0",
-                   "instructions to simulate (0 = default)");
-    args.addOption("seed", "20070212", "workload RNG seed");
-    args.addOption("threshold", "52", "Burst_TH write-queue threshold");
-    args.addOption("page-policy", "open", "open | cpa | predictive");
-    args.addOption("map", "page", "page | block | bitrev | perm");
-    args.addOption("device", "ddr2-800", "ddr2-800 | ddr-266");
-    args.addOption("engine", "skip", "skip | step");
-    args.addOption("watchdog-cycles", "50000",
-                   "fail a run when no access retires for this many "
-                   "busy memory cycles (0 = off)");
-    args.addOption("deadline-sec", "0",
-                   "fail a run exceeding this wall-clock budget "
-                   "(0 = none)");
-    args.addFlag("dynamic-threshold",
-                 "extension: adapt the threshold to the read/write mix");
-    args.addFlag("sort-bursts", "extension: largest burst first");
-    args.addFlag("critical-first",
-                 "extension: critical reads first inside bursts");
-    args.addFlag("no-rank-aware",
-                 "ablation: ignore rank locality in Table 2 priorities");
-    args.addFlag("no-horizon-memo",
-                 "debug: disable skip-engine horizon memos");
-}
-
 /** The campaign's point list: every workload under every mechanism,
  *  workload-major — the same deterministic slot layout as --sweep. */
 std::vector<sim::ExperimentConfig>
 pointsFrom(const ArgParser &args)
 {
     sim::ExperimentConfig base;
-    base.instructions = args.u64("instructions");
-    base.seed = args.u64("seed");
-    base.threshold = args.u64("threshold");
-    if (args.str("page-policy") == "cpa")
-        base.pagePolicy = dram::PagePolicy::ClosePageAuto;
-    else if (args.str("page-policy") == "predictive")
-        base.pagePolicy = dram::PagePolicy::Predictive;
-    else if (args.str("page-policy") != "open")
-        fatal("--page-policy must be 'open', 'cpa' or 'predictive'");
-    const std::string &map = args.str("map");
-    if (map == "block")
-        base.addressMap = dram::AddressMapKind::BlockInterleave;
-    else if (map == "bitrev")
-        base.addressMap = dram::AddressMapKind::BitReversal;
-    else if (map == "perm")
-        base.addressMap = dram::AddressMapKind::PermutationInterleave;
-    else if (map != "page")
-        fatal("--map must be 'page', 'block', 'bitrev' or 'perm'");
-    const std::string &dev = args.str("device");
-    if (dev == "ddr-266")
-        base.device = sim::DeviceGen::DDR_266;
-    else if (dev != "ddr2-800")
-        fatal("--device must be 'ddr2-800' or 'ddr-266'");
-    const std::string &eng = args.str("engine");
-    if (eng == "step")
-        base.engine = sim::EngineKind::Step;
-    else if (eng == "skip")
-        base.engine = sim::EngineKind::Skip;
-    else
-        fatal("--engine must be 'step' or 'skip'");
-    base.dynamicThreshold = args.flag("dynamic-threshold");
-    base.sortBurstsBySize = args.flag("sort-bursts");
-    base.criticalFirst = args.flag("critical-first");
-    base.rankAware = !args.flag("no-rank-aware");
-    base.horizonMemo = !args.flag("no-horizon-memo");
-    base.watchdogCycles = args.u64("watchdog-cycles");
-    const std::string &deadline = args.str("deadline-sec");
-    if (!deadline.empty()) {
-        char *end = nullptr;
-        base.deadlineSec = std::strtod(deadline.c_str(), &end);
-        if (end == deadline.c_str() || *end || base.deadlineSec < 0)
-            fatal("--deadline-sec must be a non-negative number");
-    }
+    sim::applyRunAxisOptions(args, base);
 
     std::vector<sim::ExperimentConfig> points;
     for (const std::string &wl : splitCommas(args.str("workload"))) {
@@ -350,7 +273,12 @@ runCampaignCli(int argc, char **argv)
                    "backoff, poison-point quarantine.\n"
                    "usage: burstsim_campaign <run|merge|plan|verify> "
                    "[options] [journal...]");
-    addPointOptions(args);
+    // The point axes: the run axes shared with the burstsim CLI
+    // (sim/run_axes.hh), so run/merge build exactly the point list of
+    // `burstsim --sweep` — the byte-identical-CSV guarantee needs it.
+    args.addOption("workload", "swim",
+                   "comma-separated benchmark profiles");
+    sim::addRunAxisOptions(args);
     args.addOption("dir", "", "campaign directory (required for run/"
                               "merge/plan)");
     args.addOption("shards", "2", "worker process count");

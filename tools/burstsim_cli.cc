@@ -27,6 +27,7 @@
 #include "obs/observability.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
+#include "sim/run_axes.hh"
 #include "sim/sweep.hh"
 #include "trace/spec_profiles.hh"
 
@@ -56,17 +57,6 @@ splitCommas(const std::string &s)
     return out;
 }
 
-sim::EngineKind
-parseEngine(const ArgParser &args)
-{
-    const std::string &e = args.str("engine");
-    if (e == "step")
-        return sim::EngineKind::Step;
-    if (e != "skip")
-        fatal("--engine must be 'step' or 'skip'");
-    return sim::EngineKind::Skip;
-}
-
 /** The run the command line describes under @p mechanism. `--cmp
  *  w0,w1` is the mix workload "w0+w1". */
 sim::ExperimentConfig
@@ -80,35 +70,7 @@ configFrom(const ArgParser &args, const std::string &mechanism)
             cfg.workload += '+' + cmp[i];
     }
     cfg.mechanism = ctrl::parseMechanism(mechanism);
-    cfg.instructions = args.u64("instructions");
-    cfg.seed = args.u64("seed");
-    cfg.threshold = args.u64("threshold");
-    if (args.str("page-policy") == "cpa")
-        cfg.pagePolicy = dram::PagePolicy::ClosePageAuto;
-    else if (args.str("page-policy") == "predictive")
-        cfg.pagePolicy = dram::PagePolicy::Predictive;
-    else if (args.str("page-policy") != "open")
-        fatal("--page-policy must be 'open', 'cpa' or 'predictive'");
-    const std::string &map = args.str("map");
-    if (map == "block")
-        cfg.addressMap = dram::AddressMapKind::BlockInterleave;
-    else if (map == "bitrev")
-        cfg.addressMap = dram::AddressMapKind::BitReversal;
-    else if (map == "perm")
-        cfg.addressMap = dram::AddressMapKind::PermutationInterleave;
-    else if (map != "page")
-        fatal("--map must be 'page', 'block', 'bitrev' or 'perm'");
-    const std::string &dev = args.str("device");
-    if (dev == "ddr-266")
-        cfg.device = sim::DeviceGen::DDR_266;
-    else if (dev != "ddr2-800")
-        fatal("--device must be 'ddr2-800' or 'ddr-266'");
-    cfg.engine = parseEngine(args);
-    cfg.dynamicThreshold = args.flag("dynamic-threshold");
-    cfg.sortBurstsBySize = args.flag("sort-bursts");
-    cfg.criticalFirst = args.flag("critical-first");
-    cfg.rankAware = !args.flag("no-rank-aware");
-    cfg.horizonMemo = !args.flag("no-horizon-memo");
+    sim::applyRunAxisOptions(args, cfg);
     cfg.watermarkDrain = args.flag("watermark-drain");
     cfg.fairness =
         args.flag("fairness") || !args.str("fairness-out").empty();
@@ -138,14 +100,6 @@ configFrom(const ArgParser &args, const std::string &mechanism)
     cfg.obs.accessTraceOut = args.str("access-trace-out");
     cfg.obs.perCoreMetrics = args.flag("metrics-per-core");
 
-    cfg.watchdogCycles = args.u64("watchdog-cycles");
-    const std::string &deadline = args.str("deadline-sec");
-    if (!deadline.empty()) {
-        char *end = nullptr;
-        cfg.deadlineSec = std::strtod(deadline.c_str(), &end);
-        if (end == deadline.c_str() || *end || cfg.deadlineSec < 0)
-            fatal("--deadline-sec must be a non-negative number");
-    }
     return cfg;
 }
 
@@ -249,17 +203,7 @@ runCli(int argc, char **argv)
                    "benchmark profile (see --list)");
     args.addOption("mechanism", "Burst_TH",
                    "access reordering mechanism (see --list)");
-    args.addOption("instructions", "0",
-                   "instructions to simulate (0 = default)");
-    args.addOption("seed", "20070212", "workload RNG seed");
-    args.addOption("threshold", "52", "Burst_TH write-queue threshold");
-    args.addOption("page-policy", "open",
-                   "open | cpa | predictive");
-    args.addOption("map", "page", "page | block | bitrev | perm");
-    args.addOption("device", "ddr2-800", "ddr2-800 | ddr-266");
-    args.addOption("engine", "skip",
-                   "simulation engine: skip (event-driven, default) | "
-                   "step (tick-accurate); identical results");
+    sim::addRunAxisOptions(args);
     args.addOption("jobs", "1",
                    "parallel runs in sweep modes (0 = all cores)");
     args.addOption("cmp", "",
@@ -278,24 +222,8 @@ runCli(int argc, char **argv)
                    "skipped on rerun (resumable sweeps)");
     args.addOption("sweep-out", "",
                    "write the sweep report as CSV to this path");
-    args.addOption("watchdog-cycles", "50000",
-                   "fail a run when no access retires for this many "
-                   "busy memory cycles (0 = off)");
-    args.addOption("deadline-sec", "0",
-                   "fail a run exceeding this wall-clock budget "
-                   "(0 = none)");
     args.addFlag("json", "emit machine-readable JSON");
     args.addFlag("list", "list workloads and mechanisms, then exit");
-    args.addFlag("dynamic-threshold",
-                 "extension: adapt the threshold to the read/write mix");
-    args.addFlag("sort-bursts", "extension: largest burst first");
-    args.addFlag("critical-first",
-                 "extension: critical reads first inside bursts");
-    args.addFlag("no-horizon-memo",
-                 "debug: disable every horizon memo / bound cache in the "
-                 "skip engine (identical results, much slower)");
-    args.addFlag("no-rank-aware",
-                 "ablation: ignore rank locality in Table 2 priorities");
     args.addFlag("latency-breakdown",
                  "report per-phase access latency histograms");
     args.addOption("metrics-out", "",

@@ -84,25 +84,12 @@ runCli(int argc, char **argv)
     args.addOption("scratch-dir", "",
                    "inline-trace scratch directory (default: temp)");
     args.addFlag("no-shrink", "report failures without minimising");
-    args.addFlag("no-cross-scheduler",
-                 "skip the Burst-vs-BkInOrder bound oracle");
-    args.addFlag("no-selfprof-identity",
-                 "skip the wake-reason attribution identity oracle");
-    args.addFlag("no-critpath-identity",
-                 "skip the per-access blame identity oracle");
-    args.addFlag("no-memo-transparency",
-                 "skip the extra run of the memo_transparency "
-                 "oracle (horizon caches force-disabled)");
 
     if (!args.parse(argc, argv, std::cerr))
         return args.helpRequested() ? 0 : 2;
 
     fuzz::OracleOptions oracle;
     oracle.scratchDir = args.str("scratch-dir");
-    oracle.crossScheduler = !args.flag("no-cross-scheduler");
-    oracle.selfprofIdentity = !args.flag("no-selfprof-identity");
-    oracle.critpathIdentity = !args.flag("no-critpath-identity");
-    oracle.memoTransparency = !args.flag("no-memo-transparency");
 
     if (!args.str("replay").empty())
         return replayFile(args.str("replay"), oracle) ? 0 : 3;
