@@ -1,5 +1,6 @@
 #include "common/args.hh"
 
+#include <cerrno>
 #include <cstdlib>
 #include <ostream>
 
@@ -111,14 +112,34 @@ ArgParser::str(const std::string &name) const
 }
 
 std::uint64_t
-ArgParser::u64(const std::string &name) const
+ArgParser::u64(const std::string &name, std::uint64_t max) const
 {
-    const std::string &s = str(name);
+    return parseU64(name, str(name), max);
+}
+
+std::uint64_t
+ArgParser::parseU64(const std::string &name, const std::string &text,
+                    std::uint64_t max)
+{
+    // strtoull skips blanks and negates a leading '-' into a huge
+    // value, so a sign is rejected before it can wrap.
+    const std::size_t first = text.find_first_not_of(" \t");
+    if (first != std::string::npos && text[first] == '-')
+        throwSimError(ErrorCategory::Config,
+                      "option --%s: '%s' is negative", name.c_str(),
+                      text.c_str());
     char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0')
-        throwSimError(ErrorCategory::Config, "option --%s: '%s' is not a number", name.c_str(),
-              s.c_str());
+    errno = 0;
+    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+    if (end == text.c_str() || *end != '\0')
+        throwSimError(ErrorCategory::Config,
+                      "option --%s: '%s' is not a number", name.c_str(),
+                      text.c_str());
+    if (errno == ERANGE || v > max)
+        throwSimError(ErrorCategory::Config,
+                      "option --%s: '%s' is out of range (at most %llu)",
+                      name.c_str(), text.c_str(),
+                      (unsigned long long)max);
     return v;
 }
 

@@ -10,6 +10,7 @@
 #ifndef BURSTSIM_COMMON_ARGS_HH
 #define BURSTSIM_COMMON_ARGS_HH
 
+#include <climits>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -52,9 +53,25 @@ class ArgParser
     /** String option value (default when absent). */
     const std::string &str(const std::string &name) const;
 
-    /** Unsigned option value; throws SimError(ErrorCategory::Config) on
-     *  non-numeric input. */
-    std::uint64_t u64(const std::string &name) const;
+    /** Unsigned option value no larger than @p max; throws
+     *  SimError(ErrorCategory::Config) on non-numeric, negative or
+     *  larger input. */
+    std::uint64_t u64(const std::string &name,
+                      std::uint64_t max = UINT64_MAX) const;
+
+    /** Option value the tools narrow to `unsigned`: u64() capped at
+     *  UINT_MAX, less @p headroom for a caller that adds to it. */
+    unsigned
+    u32(const std::string &name, unsigned headroom = 0) const
+    {
+        return unsigned(u64(name, UINT_MAX - headroom));
+    }
+
+    /** The checked parse behind u64(): @p text as a decimal no larger
+     *  than @p max; errors name option --@p name. */
+    static std::uint64_t parseU64(const std::string &name,
+                                  const std::string &text,
+                                  std::uint64_t max = UINT64_MAX);
 
     /** Positional arguments (everything not starting with --). */
     const std::vector<std::string> &positional() const

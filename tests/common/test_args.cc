@@ -160,3 +160,60 @@ TEST(Args, LastValueWins)
     ASSERT_TRUE(p.parse(a.argc(), a.argv(), err));
     EXPECT_EQ(p.u64("count"), 2u);
 }
+
+TEST(Args, NegativeU64Rejected)
+{
+    // strtoull would wrap "-1" to 2^64 - 1; it is a config error.
+    ArgParser p = makeParser();
+    Argv a({"--count", "-1"});
+    std::ostringstream err;
+    ASSERT_TRUE(p.parse(a.argc(), a.argv(), err));
+    EXPECT_SIM_ERROR(p.u64("count"), bsim::ErrorCategory::Config,
+                     "is negative");
+    EXPECT_SIM_ERROR(p.u32("count"), bsim::ErrorCategory::Config,
+                     "is negative");
+    EXPECT_SIM_ERROR(ArgParser::parseU64("count", " -7"),
+                     bsim::ErrorCategory::Config, "is negative");
+}
+
+TEST(Args, U64OutOfRangeRejected)
+{
+    ArgParser p = makeParser();
+    Argv a({"--count", "99999999999999999999999"});
+    std::ostringstream err;
+    ASSERT_TRUE(p.parse(a.argc(), a.argv(), err));
+    EXPECT_SIM_ERROR(p.u64("count"), bsim::ErrorCategory::Config,
+                     "out of range");
+    EXPECT_EQ(ArgParser::parseU64("count", "10", 10), 10u);
+    EXPECT_SIM_ERROR(ArgParser::parseU64("count", "11", 10),
+                     bsim::ErrorCategory::Config, "out of range");
+}
+
+TEST(Args, U32RejectsWhatDoesNotFitUnsigned)
+{
+    // The tools narrow these options to unsigned; a larger value would
+    // wrap silently. Headroom covers callers that add one (--retries).
+    ArgParser p = makeParser();
+    Argv a({"--count", "4294967296"});
+    std::ostringstream err;
+    ASSERT_TRUE(p.parse(a.argc(), a.argv(), err));
+    EXPECT_SIM_ERROR(p.u32("count"), bsim::ErrorCategory::Config,
+                     "out of range");
+
+    ArgParser q = makeParser();
+    Argv b({"--count", "4294967295"});
+    ASSERT_TRUE(q.parse(b.argc(), b.argv(), err));
+    EXPECT_EQ(q.u32("count"), 4294967295u);
+    EXPECT_SIM_ERROR(q.u32("count", 1), bsim::ErrorCategory::Config,
+                     "out of range");
+}
+
+TEST(Args, ParseU64NamesTheOption)
+{
+    // The campaign parses each --only-shards id through this path, so
+    // "x" is an error and not shard 0.
+    EXPECT_SIM_ERROR(ArgParser::parseU64("only-shards", "x"),
+                     bsim::ErrorCategory::Config,
+                     "option --only-shards: 'x' is not a number");
+    EXPECT_EQ(ArgParser::parseU64("only-shards", "3"), 3u);
+}

@@ -298,6 +298,70 @@ TEST(BurstWP, PiggybackChainsDrainRowLocalWrites)
     EXPECT_GE(h.sched().extraStats().at("piggybacks"), 3.0);
 }
 
+TEST(BurstHorizon, FullWriteQueuePinsWriteDrainOverQueuedBursts)
+{
+    // Figure 5 line 2 comes before the bursts: a bank holding read
+    // bursts takes its oldest write while the write queue is full, and
+    // the horizon names that move.
+    Harness h(ctrl::Mechanism::Burst, schedtest::smallDram(),
+              thParams(52, /*cap*/ 2));
+    auto *w0 = h.add(AccessType::Write, 0, 0, 1, 0, 0);
+    h.add(AccessType::Write, 0, 0, 1, 1, 1);
+    h.add(AccessType::Read, 0, 0, 2, 0, 2);
+    EXPECT_EQ(h.sched().nextEventTick(0), 0u);
+    EXPECT_EQ(h.sched().lastHorizonPin(), ctrl::HorizonPin::WriteDrain);
+    EXPECT_EQ(h.tick(0).access, w0);
+}
+
+TEST(BurstHorizon, EndOfBurstPiggybackPinsPiggyback)
+{
+    // Above the threshold (Burst_WP's is 0), at the end of a burst, an
+    // open-row write piggybacks before the next queued burst starts,
+    // and the horizon names the piggyback.
+    Harness h(ctrl::Mechanism::BurstWP);
+    h.add(AccessType::Read, 0, 0, 1, 0, 0);
+    Tick now = 0;
+    while (!h.tick(now++).columnAccess) {
+    }
+    auto *w = h.add(AccessType::Write, 0, 0, 1, 5, now);
+    auto *r = h.add(AccessType::Read, 0, 0, 2, 0, now);
+    EXPECT_EQ(h.sched().nextEventTick(now), now);
+    EXPECT_EQ(h.sched().lastHorizonPin(), ctrl::HorizonPin::Piggyback);
+    const auto order = h.drain(now);
+    ASSERT_EQ(order.size(), 2u);
+    EXPECT_EQ(order[0], w);
+    EXPECT_EQ(order[1], r);
+    EXPECT_EQ(h.sched().extraStats().at("piggybacks"), 1.0);
+}
+
+TEST(BurstTH, ThresholdAboveCapPreemptsAndRetakesTheWrite)
+{
+    // With the threshold above the write-queue capacity, preemption
+    // stays on while the queue is full. The arbiter then takes the
+    // preempted write straight back (Figure 5 line 2), so the write
+    // stays ongoing with its first pick time, and each such tick
+    // counts a preemption.
+    Harness h(ctrl::Mechanism::BurstTH, schedtest::smallDram(),
+              thParams(/*threshold*/ 128, /*cap*/ 2));
+    auto *w0 = h.add(AccessType::Write, 0, 0, 1, 0, 0);
+    auto *w1 = h.add(AccessType::Write, 0, 0, 1, 1, 0);
+    Tick now = 0;
+    ASSERT_EQ(h.tick(now++).access, w0); // w0's activate
+    auto *r = h.add(AccessType::Read, 0, 0, 2, 0, now);
+    for (int i = 0; i < 3; ++i) { // within tRCD: nothing can issue
+        EXPECT_EQ(h.sched().nextEventTick(now), now);
+        EXPECT_EQ(h.sched().lastHorizonPin(), ctrl::HorizonPin::Preempt);
+        EXPECT_EQ(h.tick(now++).access, nullptr);
+    }
+    EXPECT_EQ(h.sched().extraStats().at("preemptions"), 3.0);
+    EXPECT_EQ(w0->pickedAt, 0u);
+    const auto order = h.drain(now);
+    ASSERT_EQ(order.size(), 3u);
+    EXPECT_EQ(order[0], w0);
+    EXPECT_EQ(order[1], r);
+    EXPECT_EQ(order[2], w1);
+}
+
 TEST(Burst, Table2PrioritySameBankColumnFirst)
 {
     // After a column access in bank 0, another unblocked column access

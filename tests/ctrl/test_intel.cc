@@ -132,3 +132,28 @@ TEST(Intel, SingleWriteQueueSharedAcrossBanks)
     const auto order = h.drain(now);
     EXPECT_EQ(order.size(), 3u);
 }
+
+TEST(IntelHorizon, DrainFlipPinnedAtCapAndHalfCap)
+{
+    ctrl::SchedulerParams params;
+    params.writeCap = 4;
+    Harness h(ctrl::Mechanism::Intel, schedtest::smallDram(), params);
+    // One write per bank fills the queue; a read keeps writes waiting
+    // unless a flush runs.
+    for (std::uint32_t i = 0; i < 4; ++i)
+        h.add(AccessType::Write, i / 2, i % 2, 1, 0, Tick(i));
+    h.add(AccessType::Read, 0, 0, 2, 0, 4);
+    Tick now = 0;
+    // A full queue starts the flush ...
+    EXPECT_EQ(h.sched().nextEventTick(now), now);
+    EXPECT_EQ(h.sched().lastHorizonPin(), ctrl::HorizonPin::DrainFlip);
+    // ... and a half-empty one ends it.
+    while (h.counts().writesOutstanding > params.writeCap / 2)
+        h.tick(now++);
+    EXPECT_EQ(h.sched().nextEventTick(now), now);
+    EXPECT_EQ(h.sched().lastHorizonPin(), ctrl::HorizonPin::DrainFlip);
+    h.tick(now++);
+    h.sched().nextEventTick(now);
+    EXPECT_NE(h.sched().lastHorizonPin(), ctrl::HorizonPin::DrainFlip);
+    EXPECT_EQ(h.drain(now).size(), 3u);
+}

@@ -40,13 +40,16 @@ namespace
 constexpr std::uint64_t kInstr = 20'000;
 
 /** One mechanism per scheduler implementation: the five single-core
- *  classes plus the four contention-aware CMP families. */
+ *  classes plus the four contention-aware CMP families, and Burst_TH
+ *  and Intel_RP, the only variants whose arbiters preempt or
+ *  piggyback. */
 const ctrl::Mechanism kSchedulerClasses[] = {
     ctrl::Mechanism::BkInOrder,       ctrl::Mechanism::RowHit,
     ctrl::Mechanism::Intel,           ctrl::Mechanism::Burst,
     ctrl::Mechanism::AdaptiveHistory, ctrl::Mechanism::FrFcfs,
     ctrl::Mechanism::Parbs,           ctrl::Mechanism::Atlas,
-    ctrl::Mechanism::Bliss,
+    ctrl::Mechanism::Bliss,           ctrl::Mechanism::BurstTH,
+    ctrl::Mechanism::IntelRP,
 };
 
 /** gtest parameter names must be alphanumeric: "FR-FCFS" -> "FR_FCFS". */

@@ -99,7 +99,8 @@ parseSeconds(const ArgParser &args, const char *name)
     char *end = nullptr;
     const double d = std::strtod(v.c_str(), &end);
     if (end == v.c_str() || *end || d < 0)
-        fatal("--%s must be a non-negative number", name);
+        throwSimError(ErrorCategory::Config,
+                      "--%s must be a non-negative number", name);
     return d;
 }
 
@@ -111,19 +112,19 @@ campaignOptionsFrom(const ArgParser &args)
     if (opt.dir.empty())
         throwSimError(ErrorCategory::Config,
                       "campaign: --dir is required");
-    opt.shards = unsigned(args.u64("shards"));
+    opt.shards = args.u32("shards");
     for (const std::string &s : splitCommas(args.str("only-shards")))
-        opt.onlyShards.push_back(unsigned(std::strtoul(
-            s.c_str(), nullptr, 10)));
-    opt.workerJobs = unsigned(args.u64("jobs"));
-    opt.maxAttempts = unsigned(args.u64("retries")) + 1;
+        opt.onlyShards.push_back(
+            unsigned(ArgParser::parseU64("only-shards", s, UINT_MAX)));
+    opt.workerJobs = args.u32("jobs");
+    opt.maxAttempts = args.u32("retries", 1) + 1;
     opt.heartbeatSec = parseSeconds(args, "heartbeat-sec");
     opt.workerDeadlineSec = parseSeconds(args, "worker-deadline-sec");
     opt.killGraceSec = parseSeconds(args, "kill-grace-sec");
-    opt.maxLaunches = unsigned(args.u64("max-launches"));
+    opt.maxLaunches = args.u32("max-launches");
     opt.backoffBaseSec = parseSeconds(args, "backoff-sec");
     opt.backoffCapSec = parseSeconds(args, "backoff-cap-sec");
-    opt.quarantineStrikes = unsigned(args.u64("strikes"));
+    opt.quarantineStrikes = args.u32("strikes");
     opt.journalSync = !args.flag("no-journal-sync");
     return opt;
 }
@@ -222,7 +223,7 @@ cmdVerify(const ArgParser &args)
                                    args.positional().end());
     if (!args.str("dir").empty()) {
         const campaign::CampaignLayout layout(args.str("dir"));
-        for (unsigned s = 0; s < unsigned(args.u64("shards")); ++s)
+        for (unsigned s = 0; s < args.u32("shards"); ++s)
             paths.push_back(layout.shardJournal(s));
     }
     if (paths.empty())

@@ -81,7 +81,8 @@ configFrom(const ArgParser &args, const std::string &mechanism)
     if (!args.str("metrics-out").empty()) {
         cfg.obs.metricsInterval = args.u64("metrics-interval");
         if (cfg.obs.metricsInterval == 0)
-            fatal("--metrics-interval must be positive");
+            throwSimError(ErrorCategory::Config,
+                          "--metrics-interval must be positive");
     }
     cfg.obs.commandTrace = !args.str("trace-out").empty();
     cfg.obs.stallAttribution =
@@ -92,7 +93,9 @@ configFrom(const ArgParser &args, const std::string &mechanism)
     else if (audit == "fatal")
         cfg.obs.audit = obs::AuditMode::Fatal;
     else if (audit != "off")
-        fatal("--audit must be 'off', 'warn' or 'fatal'");
+        throwSimError(ErrorCategory::Config,
+                      "--audit must be 'off', 'warn' or 'fatal', got '%s'",
+                      audit.c_str());
     cfg.obs.engineIntrospect =
         args.flag("introspect") || !args.str("introspect-out").empty();
     cfg.obs.selfProf = args.flag("selfprof");
@@ -108,8 +111,8 @@ sim::SweepOptions
 sweepOptionsFrom(const ArgParser &args)
 {
     sim::SweepOptions opt;
-    opt.jobs = unsigned(args.u64("jobs"));
-    opt.maxAttempts = unsigned(args.u64("retries")) + 1;
+    opt.jobs = args.u32("jobs");
+    opt.maxAttempts = args.u32("retries", 1) + 1;
     if (!args.str("max-failures").empty())
         opt.maxFailures = args.u64("max-failures");
     opt.journal = args.str("sweep-journal");
@@ -120,7 +123,8 @@ sweepOptionsFrom(const ArgParser &args)
         char *end = nullptr;
         opt.heartbeatSec = std::strtod(hb.c_str(), &end);
         if (end == hb.c_str() || *end || opt.heartbeatSec < 0)
-            fatal("--heartbeat-sec must be a non-negative number");
+            throwSimError(ErrorCategory::Config,
+                          "--heartbeat-sec must be a non-negative number");
     }
     return opt;
 }

@@ -117,7 +117,7 @@ runCli(int argc, char **argv)
 
     fuzz::FuzzOptions opt;
     opt.seed = args.u64("seed");
-    opt.runs = unsigned(args.u64("runs"));
+    opt.runs = args.u32("runs");
     opt.timeBudgetSec = double(args.u64("time-budget"));
     opt.shrink = !args.flag("no-shrink");
     opt.oracle = oracle;
