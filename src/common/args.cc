@@ -112,12 +112,6 @@ ArgParser::str(const std::string &name) const
 }
 
 std::uint64_t
-ArgParser::u64(const std::string &name, std::uint64_t max) const
-{
-    return parseU64(name, str(name), max);
-}
-
-std::uint64_t
 ArgParser::parseU64(const std::string &name, const std::string &text,
                     std::uint64_t max)
 {

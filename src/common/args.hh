@@ -53,18 +53,19 @@ class ArgParser
     /** String option value (default when absent). */
     const std::string &str(const std::string &name) const;
 
-    /** Unsigned option value no larger than @p max; throws
-     *  SimError(ErrorCategory::Config) on non-numeric, negative or
-     *  larger input. */
-    std::uint64_t u64(const std::string &name,
-                      std::uint64_t max = UINT64_MAX) const;
+    /** Unsigned option value; throws SimError(ErrorCategory::Config)
+     *  on non-numeric, negative or out-of-range input. */
+    std::uint64_t u64(const std::string &name) const
+    {
+        return parseU64(name, str(name));
+    }
 
     /** Option value the tools narrow to `unsigned`: u64() capped at
      *  UINT_MAX, less @p headroom for a caller that adds to it. */
     unsigned
     u32(const std::string &name, unsigned headroom = 0) const
     {
-        return unsigned(u64(name, UINT_MAX - headroom));
+        return unsigned(parseU64(name, str(name), UINT_MAX - headroom));
     }
 
     /** The checked parse behind u64(): @p text as a decimal no larger

@@ -54,13 +54,11 @@ std::uint32_t
 TwoLevelScheduler::oldestSlot() const
 {
     std::uint32_t oldest = kNoBank;
-    forEachBank([this](std::size_t w) { return bits_[w].filled; },
-                [&](std::uint32_t b) {
-                    if (oldest == kNoBank ||
-                        slots_[b].order < slots_[oldest].order)
-                        oldest = b;
-                    return true;
-                });
+    forEachFilled([&](std::uint32_t b) {
+        if (oldest == kNoBank || slots_[b].order < slots_[oldest].order)
+            oldest = b;
+        return true;
+    });
     return oldest;
 }
 
@@ -76,18 +74,15 @@ TwoLevelScheduler::tick(Tick now)
     // current best is not probed.
     std::uint32_t best = kNoBank;
     std::pair<int, std::uint64_t> best_key{INT_MAX, ~std::uint64_t(0)};
-    forEachBank([this](std::size_t w) { return bits_[w].filled; },
-                [&](std::uint32_t b) {
-                    const Slot &s = slots_[b];
-                    const std::pair key{slotPriority(b, s.access),
-                                        s.order};
-                    if (key < best_key &&
-                        bankBound(b, s.access, now) <= now) {
-                        best = b;
-                        best_key = key;
-                    }
-                    return true;
-                });
+    forEachFilled([&](std::uint32_t b) {
+        const Slot &s = slots_[b];
+        const std::pair key{slotPriority(b, s.access), s.order};
+        if (key < best_key && bankBound(b, s.access, now) <= now) {
+            best = b;
+            best_key = key;
+        }
+        return true;
+    });
     if (best == kNoBank) {
         // An idle tick's policy side effect is the one onIdleSpan()
         // replays over a skipped span.
@@ -108,8 +103,12 @@ TwoLevelScheduler::tick(Tick now)
 Tick
 TwoLevelScheduler::nextEventTick(Tick now) const
 {
-    // tick() applies every arbiter move before it picks, so any move
-    // forces one real tick; its kind names the wake.
+    // Assuming no arrivals, completions or refreshes: tick() applies
+    // every arbiter move before it picks, so a state with a move must
+    // be stepped, and the move's kind names the wake. With no move the
+    // arbiters stay idle until a slot issues, and no slot can issue
+    // before the earliest bankBound(); at that tick one can, whichever
+    // the pick prefers. An idle tick's onIdleSpan() is idempotent.
     obs::prof::Scope prof(obs::prof::Phase::SchedHorizon);
     MoveSink stop;
     if (walkMoves(stop)) {
@@ -119,13 +118,12 @@ TwoLevelScheduler::nextEventTick(Tick now) const
 
     pin_ = HorizonPin::Timing;
     Tick horizon = kTickMax;
-    forEachBank([this](std::size_t w) { return bits_[w].filled; },
-                [&](std::uint32_t b) {
-                    const Tick t = bankBound(b, slots_[b].access, now);
-                    if (t < horizon)
-                        horizon = t;
-                    return horizon > now;
-                });
+    forEachFilled([&](std::uint32_t b) {
+        const Tick t = bankBound(b, slots_[b].access, now);
+        if (t < horizon)
+            horizon = t;
+        return horizon > now;
+    });
     if (horizon <= now)
         return now;
     if (horizon == kTickMax)
@@ -169,12 +167,10 @@ TwoLevelScheduler::queueOccupancy(std::vector<std::uint32_t> &reads,
 {
     const std::size_t base = reads.size();
     queuedOccupancy(reads, writes);
-    forEachBank([this](std::size_t w) { return bits_[w].filled; },
-                [&](std::uint32_t b) {
-                    (slots_[b].access->isWrite() ? writes
-                                                 : reads)[base + b] += 1;
-                    return true;
-                });
+    forEachFilled([&](std::uint32_t b) {
+        (slots_[b].access->isWrite() ? writes : reads)[base + b] += 1;
+        return true;
+    });
 }
 
 } // namespace bsim::ctrl

@@ -170,6 +170,15 @@ class TwoLevelScheduler : public Scheduler
     }
 
   private:
+    /** forEachBank() over the filled slots. */
+    template <class F>
+    bool
+    forEachFilled(F f) const
+    {
+        return forEachBank(
+            [this](std::size_t w) { return bits_[w].filled; }, f);
+    }
+
     struct Slot
     {
         MemAccess *access = nullptr;
