@@ -49,6 +49,21 @@ CampaignLayout::poisonList() const
     return dir + "/poison.list";
 }
 
+std::vector<std::string>
+verifyJournals(std::vector<std::string> named, const std::string &dir,
+               unsigned shards)
+{
+    if (!dir.empty()) {
+        const CampaignLayout layout(dir);
+        for (unsigned s = 0; s < shards; ++s)
+            named.push_back(layout.shardJournal(s));
+    }
+    if (named.empty())
+        throwSimError(ErrorCategory::Config,
+                      "verify: name journal files or give --dir/--shards");
+    return named;
+}
+
 std::vector<ShardPlan>
 planShards(std::size_t points, unsigned shards,
            const std::vector<unsigned> &only)

@@ -65,6 +65,15 @@ std::vector<ShardPlan> planShards(std::size_t points, unsigned shards,
  */
 void ensureCampaignDir(const std::string &dir);
 
+/**
+ * The journals `verify` scans: @p named, then the journal of each of
+ * @p shards shards of @p dir when @p dir is not empty. Throws
+ * SimError(Config) when that leaves none to scan.
+ */
+std::vector<std::string> verifyJournals(std::vector<std::string> named,
+                                        const std::string &dir,
+                                        unsigned shards);
+
 } // namespace bsim::campaign
 
 #endif // BURSTSIM_CAMPAIGN_SHARD_HH

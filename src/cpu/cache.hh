@@ -2,6 +2,11 @@
  * @file
  * Set-associative writeback cache with true-LRU replacement.
  *
+ * Sets are flat: one allocation holds, per set, the ways' tags, their
+ * LRU stamps, a valid mask and a dirty mask (one bit per way), so a
+ * lookup reads the set's tags contiguously and walks only its valid
+ * ways. The masks cap associativity at kMaxAssoc.
+ *
  * The cache is a state container: lookups and fills update tag state
  * immediately; timing is applied by the CacheHierarchy/Core. Dirty
  * victims are returned to the caller, which routes them down the
@@ -19,6 +24,9 @@
 
 namespace bsim::cpu
 {
+
+/** Largest CacheConfig::assoc: one bit per way in a 64-bit mask. */
+constexpr std::uint32_t kMaxAssoc = 64;
 
 /** Geometry of one cache level. */
 struct CacheConfig
@@ -46,7 +54,8 @@ struct Eviction
 class Cache
 {
   public:
-    /** Build with @p cfg; dimensions must be powers of two. */
+    /** Build with @p cfg; the set count and block size must be powers
+     *  of two and 1 <= assoc <= kMaxAssoc (else SimError(Config)). */
     explicit Cache(const CacheConfig &cfg);
 
     /**
@@ -80,23 +89,32 @@ class Cache
     const CacheConfig &config() const { return cfg_; }
 
   private:
-    struct Line
+    /** Set @p set's words: assoc tags, assoc LRU stamps, the valid
+     *  mask, then the dirty mask. */
+    std::uint64_t *
+    setWords(std::uint64_t set)
     {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;
-    };
+        return &words_[set * stride_];
+    }
+    const std::uint64_t *
+    setWords(std::uint64_t set) const
+    {
+        return &words_[set * stride_];
+    }
+    /** Way of @p tag among the valid ways of @p w, or assoc. */
+    std::uint32_t find(const std::uint64_t *w, Addr tag) const;
 
     std::uint64_t setOf(Addr addr) const;
     Addr tagOf(Addr addr) const;
     Addr rebuild(std::uint64_t set, Addr tag) const;
 
     CacheConfig cfg_;
+    std::uint32_t assoc_;
     std::uint64_t setMask_;
     std::uint32_t offsetBits_;
     std::uint32_t setBits_;
-    std::vector<Line> lines_; //!< sets x assoc, set-major
+    std::size_t stride_; //!< words per set: 2 * assoc + 2
+    std::vector<std::uint64_t> words_; //!< every set, set-major
     std::uint64_t useClock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -73,6 +73,7 @@ class CacheHierarchy
   public:
     /** Build with @p cfg, sending misses/writebacks to @p port. */
     CacheHierarchy(const HierarchyConfig &cfg, MemPort &port);
+    virtual ~CacheHierarchy() = default;
 
     /**
      * Perform a load (@p is_write false) or store (@p is_write true) to
@@ -80,11 +81,12 @@ class CacheHierarchy
      * and @p waiter is not kNoWaiter, the waiter id is recorded and
      * handed back by onMemResponse(). A Retry has no side effect: it
      * counts no L1 or L2 miss, so each demand lookup is counted once,
-     * by its final outcome.
+     * by its final outcome. Virtual so that a test can record the
+     * core's call sequence.
      */
-    HierarchyResult access(Addr addr, bool is_write,
-                           std::uint64_t waiter = kNoWaiter,
-                           bool critical = false);
+    virtual HierarchyResult access(Addr addr, bool is_write,
+                                   std::uint64_t waiter = kNoWaiter,
+                                   bool critical = false);
 
     /**
      * A memory read for @p block_addr completed: releases the MSHR and

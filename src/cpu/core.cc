@@ -1,41 +1,76 @@
 #include "cpu/core.hh"
 
-#include "common/log.hh"
+#include <algorithm>
+#include <bit>
+
+#include "common/error.hh"
 
 namespace bsim::cpu
 {
 
+namespace
+{
+/** Ring slots for @p cfg: robSize rounded up to a power of two, and at
+ *  least one SlotSet word. */
+std::size_t
+ringSlots(const CoreConfig &cfg)
+{
+    if (cfg.robSize == 0 || cfg.robSize > kMaxRobSize)
+        throwSimError(ErrorCategory::Config,
+                      "core: robSize (%u) must be between 1 and %u",
+                      cfg.robSize, kMaxRobSize);
+    return std::max<std::size_t>(64, std::bit_ceil(cfg.robSize));
+}
+} // namespace
+
 Core::Core(const CoreConfig &cfg, CacheHierarchy &mem,
            trace::TraceSource &trace)
-    : cfg_(cfg), mem_(mem), trace_(trace)
+    : cfg_(cfg), mem_(mem), trace_(trace), rob_(ringSlots(cfg)),
+      robMask_(rob_.size() - 1), ready_(rob_.size()),
+      parkedLoads_(rob_.size())
 {
 }
 
-Core::RobEntry *
-Core::entryOf(std::uint64_t seq)
+std::uint64_t
+Core::nextIn(const SlotSet &set, std::uint64_t from) const
 {
-    if (seq < frontSeq_ || seq >= frontSeq_ + rob_.size())
-        return nullptr;
-    return &rob_[seq - frontSeq_];
+    if (set.empty())
+        return nextSeq_;
+    // [from, nextSeq_) covers at most the whole ring: the slots from
+    // from's to the ring's end, then from slot 0.
+    const std::uint64_t n = nextSeq_ - from;
+    const std::size_t s = slotOf(from);
+    const auto first =
+        static_cast<std::size_t>(std::min<std::uint64_t>(n, rob_.size() - s));
+    const std::size_t t = set.next(s, s + first);
+    if (t < s + first)
+        return from + (t - s);
+    const std::size_t rest = static_cast<std::size_t>(n - first);
+    const std::size_t u = set.next(0, rest);
+    return u < rest ? from + first + u : nextSeq_;
 }
 
-const Core::RobEntry *
-Core::entryOf(std::uint64_t seq) const
+void
+Core::wakeParkedLoads()
 {
-    if (seq < frontSeq_ || seq >= frontSeq_ + rob_.size())
-        return nullptr;
-    return &rob_[seq - frontSeq_];
+    if (parkedLoadsWoken())
+        ready_.absorb(parkedLoads_);
 }
 
-bool
-Core::producerReady(const RobEntry &e, std::uint64_t now) const
+void
+Core::schedule(std::uint64_t seq, std::uint64_t at, std::uint64_t now)
 {
-    if (e.producerSeq == kTickMax)
-        return true;
-    const RobEntry *p = entryOf(e.producerSeq);
-    if (!p)
-        return true; // producer already retired, hence long since ready
-    return p->readyAt <= now;
+    if (at <= now)
+        ready_.insert(slotOf(seq));
+    else
+        timed_.push_back({at, seq});
+}
+
+void
+Core::producerKnown(const RobEntry &p, std::uint64_t now)
+{
+    if (p.consumerSeq != kTickMax)
+        schedule(p.consumerSeq, p.readyAt, now);
 }
 
 void
@@ -67,14 +102,18 @@ Core::startLoad(RobEntry &e, std::uint64_t now)
       case CacheOutcome::L1Hit:
       case CacheOutcome::L2Hit:
         e.readyAt = now + r.latencyCpu;
+        producerKnown(e, now);
         break;
       case CacheOutcome::Miss:
         break; // readyAt set by onMemResponse
       case CacheOutcome::Retry:
+        // Parked loads share one epoch: wake any older ones first.
+        wakeParkedLoads();
         park(e);
+        parkedLoads_.insert(slotOf(e.seq));
+        parkEpoch_ = e.parkedEpoch;
         return false;
     }
-    e.started = true;
     unpark(e);
     return true;
 }
@@ -83,9 +122,9 @@ void
 Core::retire(std::uint64_t now)
 {
     for (std::uint32_t i = 0; i < cfg_.issueWidth; ++i) {
-        if (rob_.empty())
+        if (robEmpty())
             return;
-        RobEntry &head = rob_.front();
+        RobEntry &head = front();
         if (head.readyAt > now) {
             headStalls_ += 1;
             return;
@@ -109,7 +148,6 @@ Core::retire(std::uint64_t now)
             head.op == trace::TraceInstr::Op::Store) {
             memOpsInRob_ -= 1;
         }
-        rob_.pop_front();
         frontSeq_ += 1;
         retired_ += 1;
     }
@@ -118,14 +156,21 @@ Core::retire(std::uint64_t now)
 void
 Core::startPendingLoads(std::uint64_t now)
 {
-    for (std::size_t n = pendingLoads_.size(); n > 0; --n) {
-        const std::uint64_t seq = pendingLoads_.front();
-        pendingLoads_.pop_front();
-        RobEntry *e = entryOf(seq);
-        if (!e || e->started)
-            continue;
-        if (parked(*e) || !producerReady(*e, now) || !startLoad(*e, now))
-            pendingLoads_.push_back(seq); // retry next cycle
+    wakeParkedLoads();
+    std::erase_if(timed_, [&](const TimedLoad &t) {
+        if (t.at > now)
+            return false;
+        ready_.insert(slotOf(t.seq));
+        return true;
+    });
+    // A start can add members ahead of the cursor (a miss wakes parked
+    // loads; a zero-latency hit readies its consumer): they start in
+    // this scan. Members behind it wait for the next cycle.
+    for (std::uint64_t seq = nextIn(ready_, frontSeq_); seq != nextSeq_;
+         seq = nextIn(ready_, seq + 1)) {
+        ready_.erase(slotOf(seq));
+        if (startLoad(rob_[slotOf(seq)], now))
+            wakeParkedLoads();
     }
 }
 
@@ -133,7 +178,7 @@ void
 Core::issue(std::uint64_t now)
 {
     for (std::uint32_t i = 0; i < cfg_.issueWidth; ++i) {
-        if (rob_.size() >= cfg_.robSize)
+        if (robOccupancy() >= cfg_.robSize)
             return;
         if (!lookaheadValid_) {
             if (traceEnded_ || !trace_.next(lookahead_)) {
@@ -147,10 +192,11 @@ Core::issue(std::uint64_t now)
         if (is_mem && memOpsInRob_ >= cfg_.lsqSize)
             return; // LSQ full
 
-        RobEntry e;
+        RobEntry &e = rob_[slotOf(nextSeq_)];
+        e = RobEntry{};
         e.op = in.op;
         e.addr = in.addr;
-        e.seq = nextSeq_++;
+        e.seq = nextSeq_;
         switch (in.op) {
           case trace::TraceInstr::Op::Compute:
             e.readyAt = now + cfg_.computeLatency;
@@ -173,11 +219,19 @@ Core::issue(std::uint64_t now)
             }
             break;
         }
-        rob_.push_back(e);
-        if (in.op == trace::TraceInstr::Op::Load) {
-            RobEntry &placed = rob_.back();
-            if (placed.producerSeq != kTickMax || !startLoad(placed, now))
-                pendingLoads_.push_back(placed.seq);
+        nextSeq_ += 1;
+        if (e.op == trace::TraceInstr::Op::Load) {
+            // A load with a producer is first tried next cycle; one
+            // without starts now or parks.
+            if (e.producerSeq == kTickMax) {
+                startLoad(e, now);
+            } else {
+                RobEntry &p = rob_[slotOf(e.producerSeq)];
+                if (p.readyAt == kTickMax)
+                    p.consumerSeq = e.seq;
+                else
+                    schedule(e.seq, p.readyAt, now);
+            }
         }
         lookaheadValid_ = false;
     }
@@ -196,25 +250,20 @@ Core::quiescentAt(std::uint64_t now) const
 {
     // retire(): must stop without touching the hierarchy, at an unready
     // head or at a parked store (an unparked ready store would probe).
-    if (rob_.empty() ||
-        (rob_.front().readyAt <= now && !parked(rob_.front())))
+    if (robEmpty() || (front().readyAt <= now && !parked(front())))
         return false;
-    // startPendingLoads(): no live, unparked pending load may have a
-    // ready producer — startLoad() would do a cache lookup, which
-    // counts a hit or miss and moves LRU order. Stale entries (retired
-    // producer window or already started) and parked loads are no-ops;
-    // stale ones are dropped lazily at the next real cycle, which
-    // preserves the live entries' relative order.
-    for (std::uint64_t seq : pendingLoads_) {
-        const RobEntry *e = entryOf(seq);
-        if (!e || e->started || parked(*e))
-            continue;
-        if (producerReady(*e, now))
+    // startPendingLoads(): no pending load may be able to start —
+    // startLoad() would do a cache lookup, which counts a hit or miss
+    // and moves LRU order. Parked loads are no-ops until the epoch
+    // moves, and loads behind an unready producer until its data is in.
+    if (!ready_.empty() || parkedLoadsWoken())
+        return false;
+    for (const TimedLoad &t : timed_)
+        if (t.at <= now)
             return false;
-    }
     // issue(): must be blocked without consuming the trace — pulling
     // the next instruction advances the workload RNG.
-    if (rob_.size() >= cfg_.robSize)
+    if (robOccupancy() >= cfg_.robSize)
         return true;
     if (lookaheadValid_)
         return lookahead_.op != trace::TraceInstr::Op::Compute &&
@@ -229,20 +278,24 @@ Core::nextLocalEventCpu(std::uint64_t now) const
     // Quiescence ends when the head becomes ready or a blocked pending
     // load's producer does; both are readyAt timestamps already fixed.
     // Issue-side blocks (full ROB / LSQ) clear only through retirement,
-    // which the head's readyAt already bounds. kTickMax entries wait on
-    // a memory response, and parked accesses (a parked store head
-    // included) on a hierarchy wake event; the System tracks both.
-    const RobEntry &head = rob_.front();
+    // which the head's readyAt already bounds. Loads behind a producer
+    // still waiting on memory, and parked accesses (a parked store head
+    // included), wait on events the System tracks.
+    const RobEntry &head = front();
     std::uint64_t e = parked(head) ? kTickMax : head.readyAt;
-    for (std::uint64_t seq : pendingLoads_) {
-        const RobEntry *pe = entryOf(seq);
-        if (!pe || pe->started || parked(*pe) ||
-            pe->producerSeq == kTickMax)
-            continue;
-        const RobEntry *p = entryOf(pe->producerSeq);
-        if (p && p->readyAt < e)
-            e = p->readyAt;
-    }
+    for (const TimedLoad &t : timed_)
+        e = std::min(e, t.at);
+    // Loads that can start already have a ready producer (none do while
+    // quiescent); a live one bounds the answer all the same.
+    const auto bound = [&](const SlotSet &set) {
+        for (std::uint64_t seq = nextIn(set, frontSeq_); seq != nextSeq_;
+             seq = nextIn(set, seq + 1))
+            if (const RobEntry *p = entryOf(rob_[slotOf(seq)].producerSeq))
+                e = std::min(e, p->readyAt);
+    };
+    bound(ready_);
+    if (parkedLoadsWoken())
+        bound(parkedLoads_);
     return e;
 }
 
@@ -251,10 +304,10 @@ Core::onMemResponse(Addr block_addr, std::uint64_t now)
 {
     for (std::uint64_t seq : mem_.onMemResponse(block_addr)) {
         RobEntry *e = entryOf(seq);
-        if (!e)
-            continue;
-        if (e->readyAt == kTickMax)
+        if (e && e->readyAt == kTickMax) {
             e->readyAt = now;
+            producerKnown(*e, now);
+        }
     }
 }
 

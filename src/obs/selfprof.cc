@@ -67,7 +67,6 @@ struct Node
 
 struct Tls
 {
-    bool enabled = false;
     std::vector<Node> pool;
     int current = -1; //!< innermost open scope, -1 = at root level
     /** Open-scope stack: (node index, entry timestamp). */
@@ -160,16 +159,10 @@ phaseName(Phase p)
     return "?";
 }
 
-bool
-enabled()
-{
-    return tls().enabled;
-}
-
 void
 setEnabled(bool on)
 {
-    tls().enabled = on;
+    detail::tlsEnabled = on;
 }
 
 void
@@ -209,7 +202,7 @@ collect()
 {
     const Tls &t = tls();
     SelfProfile out;
-    out.valid = t.enabled;
+    out.valid = enabled();
     if (!out.valid)
         return out;
     for (int r : t.roots) {

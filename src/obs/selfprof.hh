@@ -49,8 +49,19 @@ constexpr std::size_t kNumPhases = 12;
 /** Printable phase name (stable: used in progress JSONL rollups). */
 const char *phaseName(Phase p);
 
+namespace detail
+{
+/** This thread's armed flag: a constant-initialized thread_local, so
+ *  reading it is one TLS load with no guard or wrapper call. */
+inline thread_local bool tlsEnabled = false;
+} // namespace detail
+
 /** Is self-profiling armed on this thread? */
-bool enabled();
+inline bool
+enabled()
+{
+    return detail::tlsEnabled;
+}
 
 /** Arm or disarm self-profiling on this thread. */
 void setEnabled(bool on);

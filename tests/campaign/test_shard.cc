@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "campaign/shard.hh"
 
@@ -108,4 +109,22 @@ TEST(EnsureCampaignDir, FailsFastWhenUnwritable)
     EXPECT_SIM_ERROR(ensureCampaignDir(file + "/sub"),
                      ErrorCategory::Resource, "not writable");
     std::remove(file.c_str());
+}
+
+TEST(CampaignVerify, JournalsAreNamedThenShardsOfDir)
+{
+    EXPECT_EQ(verifyJournals({"a.journal"}, "/camp", 2),
+              (std::vector<std::string>{"a.journal",
+                                        "/camp/shard-000.journal",
+                                        "/camp/shard-001.journal"}));
+    EXPECT_EQ(verifyJournals({"a.journal"}, "", 4),
+              std::vector<std::string>{"a.journal"});
+}
+
+TEST(CampaignVerify, NoJournalIsConfigError)
+{
+    EXPECT_SIM_ERROR(verifyJournals({}, "", 4), ErrorCategory::Config,
+                     "verify: name journal files or give --dir/--shards");
+    EXPECT_SIM_ERROR(verifyJournals({}, "/camp", 0), ErrorCategory::Config,
+                     "name journal files");
 }

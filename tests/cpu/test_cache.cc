@@ -183,3 +183,16 @@ TEST(Cache, Table3Geometries)
     EXPECT_EQ(l1.config().numSets(), 1024u);
     EXPECT_EQ(l2.config().numSets(), 2048u);
 }
+
+TEST(CacheDeath, RejectsAssocOutsideOneToMaxAssoc)
+{
+    // Valid and dirty bits are one 64-bit mask per set.
+    EXPECT_SIM_ERROR(Cache({128 * 64, 128, 64}), bsim::ErrorCategory::Config,
+                     "assoc (128) must be between 1 and 64");
+    EXPECT_SIM_ERROR(Cache({65 * 64, 65, 64}), bsim::ErrorCategory::Config,
+                     "assoc (65)");
+    EXPECT_SIM_ERROR(Cache({512, 0, 64}), bsim::ErrorCategory::Config,
+                     "assoc (0)");
+    Cache widest({kMaxAssoc * 64, kMaxAssoc, 64});
+    EXPECT_EQ(widest.config().numSets(), 1u);
+}

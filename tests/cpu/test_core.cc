@@ -14,6 +14,8 @@
 #include "sim/system.hh"
 #include "trace/instr.hh"
 
+#include "sim_error_util.hh"
+
 using namespace bsim;
 using namespace bsim::cpu;
 using trace::TraceInstr;
@@ -118,6 +120,23 @@ struct Fixture
 };
 
 } // namespace
+
+TEST(Core, RobSizeOutsideOneToMaxIsConfigError)
+{
+    // The ROB ring is allocated up front from robSize.
+    Fixture f;
+    for (std::uint32_t rob : {0u, kMaxRobSize + 1}) {
+        CoreConfig cfg;
+        cfg.robSize = rob;
+        EXPECT_SIM_ERROR(f.makeCore({}, cfg), ErrorCategory::Config,
+                         "robSize");
+    }
+    CoreConfig widest;
+    widest.robSize = kMaxRobSize;
+    f.makeCore(std::vector<TraceInstr>(100, compute()), widest);
+    f.run(1000);
+    EXPECT_EQ(f.core->retired(), 100u);
+}
 
 TEST(Core, ComputeOnlyTraceRetiresAtIssueWidth)
 {

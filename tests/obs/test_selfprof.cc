@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <sstream>
+#include <thread>
 #include <string>
 
 #include "obs/selfprof.hh"
@@ -113,6 +114,39 @@ TEST_F(SelfProf, ScopesAggregateIntoAPhaseTree)
     EXPECT_GT(p.selfUsByPhase[std::size_t(prof::Phase::SchedPick)], 0.0);
     // ctrl_tick's exclusive time excludes sched_pick's.
     EXPECT_LE(p.nodes[2].selfUs, p.nodes[2].totalUs);
+}
+
+TEST_F(SelfProf, ArmingIsDecidedAtScopeEntry)
+{
+    {
+        // Entered disarmed: arming mid-scope does not arm it.
+        prof::Scope off(prof::Phase::Run);
+        prof::setEnabled(true);
+    }
+    {
+        // Entered armed: disarming mid-scope still closes it, so the
+        // next scope opens at the root again.
+        prof::Scope on(prof::Phase::Horizon);
+        prof::setEnabled(false);
+    }
+    prof::setEnabled(true);
+    {
+        prof::Scope again(prof::Phase::CtrlTick);
+    }
+    const prof::SelfProfile p = prof::collect();
+    ASSERT_EQ(p.nodes.size(), 2u);
+    EXPECT_EQ(p.nodes[0].phase, prof::Phase::Horizon);
+    EXPECT_EQ(p.nodes[1].phase, prof::Phase::CtrlTick);
+    EXPECT_EQ(p.nodes[1].depth, 0);
+}
+
+TEST_F(SelfProf, FlagIsPerThread)
+{
+    prof::setEnabled(true);
+    bool other = true;
+    std::thread([&other] { other = prof::enabled(); }).join();
+    EXPECT_FALSE(other);
+    EXPECT_TRUE(prof::enabled());
 }
 
 TEST_F(SelfProf, ResetDropsTheTree)

@@ -219,15 +219,9 @@ cmdVerify(const ArgParser &args)
 {
     // Journals to scan: positional paths after the subcommand, plus
     // every shard journal of --dir when given.
-    std::vector<std::string> paths(args.positional().begin() + 1,
-                                   args.positional().end());
-    if (!args.str("dir").empty()) {
-        const campaign::CampaignLayout layout(args.str("dir"));
-        for (unsigned s = 0; s < args.u32("shards"); ++s)
-            paths.push_back(layout.shardJournal(s));
-    }
-    if (paths.empty())
-        fatal("verify: name journal files or give --dir/--shards");
+    const std::vector<std::string> paths = campaign::verifyJournals(
+        {args.positional().begin() + 1, args.positional().end()},
+        args.str("dir"), args.u32("shards"));
 
     bool anyIssue = false;
     bool anyUnrepaired = false;
