@@ -26,7 +26,6 @@ reasonOf(HorizonPin pin)
       case HorizonPin::WriteDrain:
         return obs::WakeReason::SchedWriteDrain;
       case HorizonPin::Timing: return obs::WakeReason::SchedBound;
-      case HorizonPin::Epoch: return obs::WakeReason::SchedEpoch;
       case HorizonPin::Conservative:
         return obs::WakeReason::SchedConservative;
       case HorizonPin::None: break;

@@ -49,8 +49,6 @@ enum class HorizonPin : std::uint8_t
     Piggyback,    //!< an end-of-burst piggyback window is open
     WriteDrain,   //!< a postponed write is about to be serviced
     Timing,       //!< bounded by a device-timing release
-    Epoch,        //!< a policy epoch boundary (quantum / blacklist
-                  //!< clearing / batch formation) binds the horizon
     Conservative, //!< the policy cannot bound itself (default impl)
 };
 

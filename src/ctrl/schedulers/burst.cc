@@ -106,9 +106,12 @@ BurstScheduler::piggybackPos(std::uint32_t b) const
 bool
 BurstScheduler::walkMoves(MoveSink &take) const
 {
-    const bool preempt =
-        ctx_.params.readPreemption &&
-        ctx_.global->writesOutstanding < effectiveThreshold();
+    // A full write queue closes the preempt gate whatever the
+    // threshold: Figure 5 line 2 would take the preempted write back.
+    const std::size_t gw = ctx_.global->writesOutstanding;
+    const bool preempt = ctx_.params.readPreemption &&
+                         gw < effectiveThreshold() &&
+                         gw < ctx_.params.writeCap;
     // Only live banks can move, and a move changes only its own bank,
     // so the live set read up front is the set a full scan would act on.
     return !forEachBank(
@@ -212,6 +215,13 @@ BurstScheduler::applyMove(const Move &m, Tick now)
         a->pickedAt = now;
     fillSlot(m.bank, a, a->arrival);
     syncBits(m.bank);
+}
+
+bool
+BurstScheduler::slotBefore(std::uint32_t x, std::uint32_t y) const
+{
+    const int px = slotPriority(x, slot(x)), py = slotPriority(y, slot(y));
+    return px != py ? px < py : slotOrder(x) < slotOrder(y);
 }
 
 int

@@ -15,7 +15,7 @@
  *    applies and the horizon stops at;
  *  - the per-channel *transaction scheduler* (Figure 6) issues, each
  *    memory cycle, the unblocked ongoing access with the best static
- *    priority (Table 2, slotPriority()), oldest first among equals:
+ *    priority (Table 2, slotBefore()), oldest first among equals:
  *    column accesses within the last rank first (same bank before other
  *    banks, reads before writes), then precharge and activate (they do
  *    not use the data bus), and column accesses to other ranks last to
@@ -79,7 +79,7 @@ class BurstScheduler : public TwoLevelScheduler
     bool walkMoves(MoveSink &take) const override;
     void applyMove(const Move &m, Tick now) override;
     void admit(MemAccess *a) override;
-    int slotPriority(std::uint32_t b, const MemAccess *a) const override;
+    bool slotBefore(std::uint32_t x, std::uint32_t y) const override;
     void onColumnIssued(std::uint32_t b, MemAccess *a, Tick now) override;
     dram::StallCause backlogCause(std::uint32_t b) const override;
     void queuedOccupancy(std::vector<std::uint32_t> &reads,
@@ -129,6 +129,10 @@ class BurstScheduler : public TwoLevelScheduler
 
     /** Make bank @p b the last-serviced bank of Table 2. */
     void pointAt(std::uint32_t b);
+
+    /** Table 2 priority of bank @p b's slot access @p a: lower issues
+     *  first. */
+    int slotPriority(std::uint32_t b, const MemAccess *a) const;
 
     /** Effective threshold for this cycle (static or dynamic, §7). */
     std::size_t effectiveThreshold() const;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/stall_attribution.hh"
-
 namespace bsim::ctrl
 {
 
@@ -22,8 +20,7 @@ constexpr double kAtlasAlpha = 0.875;
 
 ContentionScheduler::ContentionScheduler(const SchedulerContext &ctx,
                                          Shape shape)
-    : Scheduler(ctx), shape_(shape), queues_(numBanks()),
-      ongoing_(numBanks(), nullptr)
+    : TwoLevelScheduler(ctx), shape_(shape), queues_(numBanks())
 {
     watermark_ = shape_.watermarkAxis && ctx_.params.watermarkDrain;
     const std::size_t cap = ctx_.params.writeCap;
@@ -36,19 +33,22 @@ ContentionScheduler::ContentionScheduler(const SchedulerContext &ctx,
 }
 
 void
-ContentionScheduler::enqueue(MemAccess *a)
+ContentionScheduler::admit(MemAccess *a)
 {
     const std::uint32_t b = bankIndex(a->coords);
     queues_[b].push_back(a);
     if (shape_.fifo)
-        fill(b);
-    if (a->isWrite()) {
-        writes_ += 1;
-        noteWriteEnqueued(a);
-    } else {
-        reads_ += 1;
-    }
+        fillFront(b);
     onEnqueued(a);
+}
+
+void
+ContentionScheduler::fillFront(std::uint32_t b)
+{
+    if (!slot(b) && !queues_[b].empty()) {
+        MemAccess *a = takeAt(queues_[b], 0);
+        fillSlot(b, a, a->arrival);
+    }
 }
 
 std::size_t
@@ -79,247 +79,120 @@ ContentionScheduler::openRowFirst(std::uint32_t b, std::size_t window) const
     return 0;
 }
 
-void
-ContentionScheduler::fillSlot(std::uint32_t b)
-{
-    auto &q = queues_[b];
-    const std::size_t i = shape_.fifo ? 0 : fillPick(b);
-    if (i == q.size())
-        return; // drain mode gates every queued access of this bank
-    ongoing_[b] = q[i];
-    q.erase(q.begin() + std::ptrdiff_t(i));
-}
-
-Scheduler::Issued
-ContentionScheduler::serve(std::uint32_t b, Tick now)
-{
-    MemAccess *a = ongoing_[b];
-    Issued out = issueFor(a, now);
-    if (out.columnAccess) {
-        ongoing_[b] = nullptr;
-        if (a->isWrite())
-            writes_ -= 1;
-        else
-            reads_ -= 1;
-        rr_ = b; // round robin advances on completed service
-        onColumnIssued(a);
-        if (shape_.fifo)
-            fill(b);
-    }
-    return out;
-}
-
 bool
 ContentionScheduler::flipPending() const
 {
     const std::size_t gw = ctx_.global->writesOutstanding;
     if (!drainMode_)
-        return gw >= hi_ || (reads_ == 0 && gw > 0);
-    return gw == 0 || (reads_ > 0 && gw < lo_);
+        return gw >= hi_ || (readCount() == 0 && gw > 0);
+    return gw == 0 || (readCount() > 0 && gw < lo_);
 }
 
-Scheduler::Issued
-ContentionScheduler::tick(Tick now)
+bool
+ContentionScheduler::walkMoves(MoveSink &take) const
 {
+    const Tick now = take.now;
     syncEpochs(now);
     if (watermark_) {
         // The policy bus-turnaround hold fully quiesces the channel:
-        // no arbitration, no issue. The horizon pins to turnUntil_, so
-        // the hold is exactly skippable.
+        // no arbitration, no issue, until heldUntil().
         if (now < turnUntil_)
-            return {};
+            return false;
         // Gate the flip on local work: flipPending() reads the GLOBAL
         // write count, so an idle channel would otherwise flip (and
         // start a turnaround hold) on another channel's traffic alone.
         // An idle channel's drain mode is unobservable until work
         // arrives — and the arrival tick re-evaluates the flip in both
         // engines — so deferring keeps the step and skip engines on
-        // the same flip lattice (the skip engine sleeps through
-        // workless ticks and must never miss a state change).
+        // the same flip lattice.
         if (hasWork() && flipPending()) {
-            drainMode_ = !drainMode_;
-            drainFlips_ += 1;
-            turnUntil_ = now + ctx_.params.drainTurnaround;
+            if (!take({HorizonPin::DrainFlip}))
+                return true;
             if (now < turnUntil_)
-                return {};
+                return false;
         }
     }
+    if (shape_.fifo)
+        return false; // slots fill on enqueue and on issue
 
+    // Fill bank b's empty slot with its intra-bank pick; false when
+    // the walk ends there.
+    const auto fill = [&](std::uint32_t b) {
+        if (slot(b) || queues_[b].empty())
+            return true;
+        const std::size_t pos = fillPick(b);
+        return pos == queues_[b].size() ||
+               take({HorizonPin::ArbFill, b, pos});
+    };
     const std::uint32_t n = numBanks();
-    if (shape_.pick == InterBank::RoundRobin) {
-        // Fill lazily: a slot fills only when the rotation reaches its
-        // bank, and the first ready candidate issues. Filling every
-        // slot up front would commit the banks past the issuing one to
-        // a pick made now, before later arrivals could compete for the
-        // slot (RowHit's open-row pick makes the difference visible).
-        for (std::uint32_t i = 0; i < n; ++i) {
-            const std::uint32_t b = (rr_ + 1 + i) % n;
-            fill(b);
-            const MemAccess *a = ongoing_[b];
-            if (a && bankBound(b, a, now) <= now)
-                return serve(b, now);
-        }
-        return {};
+    if (shape_.pick == InterBank::Priority) {
+        for (std::uint32_t b = 0; b < n; ++b)
+            if (!fill(b))
+                return true;
+        return false;
     }
-
-    for (std::uint32_t b = 0; b < n; ++b)
-        fill(b);
-
-    // The policy order decides inter-bank arbitration too: among the
-    // candidates whose next transaction is issuable right now, serve
-    // the highest-priority one (marked / least-serviced / whitelisted
-    // / best history score first).
-    MemAccess *best = nullptr;
-    std::uint32_t best_bank = 0;
-    for (std::uint32_t b = 0; b < n; ++b) {
-        MemAccess *a = ongoing_[b];
-        if (!a || bankBound(b, a, now) > now)
-            continue;
-        if (!best || beats(a, best)) {
-            best = a;
-            best_bank = b;
-        }
+    // Round robin fills lazily: a slot fills only when the rotation
+    // reaches its bank, and the rotation stops at the first ready slot,
+    // the one the pick issues. Filling every slot up front would commit
+    // the banks past it to a pick made now, before later arrivals could
+    // compete for the slot (RowHit's open-row pick makes the difference
+    // visible).
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const std::uint32_t b = (rr_ + 1 + i) % n;
+        if (!fill(b))
+            return true;
+        if (const MemAccess *a = slot(b); a && bankBound(b, a, now) <= now)
+            return false;
     }
-    if (!best)
-        return {};
-    return serve(best_bank, now);
+    return false;
 }
 
-dram::StallCause
-ContentionScheduler::stallScan(Tick now, obs::StallAttribution &sink) const
+void
+ContentionScheduler::applyMove(const Move &m, Tick now)
 {
-    syncEpochs(now);
-    stallVictim_ = nullptr;
-    if (!hasWork())
-        return dram::StallCause::NoWork;
-
-    // Bus-turnaround hold: the policy itself gates the whole channel.
-    if (watermark_ && now < turnUntil_) {
-        Tick oldest = kTickMax;
-        for (std::uint32_t b = 0; b < std::uint32_t(ongoing_.size());
-             ++b) {
-            const MemAccess *a = ongoing_[b];
-            if (!a)
-                continue;
-            sink.noteBankStall(ctx_.channel, b,
-                               dram::StallCause::ThresholdGated,
-                               kTickMax);
-            if (a->arrival < oldest) {
-                oldest = a->arrival;
-                stallVictim_ = a;
-            }
-        }
-        return dram::StallCause::ThresholdGated;
+    if (m.kind == HorizonPin::DrainFlip) {
+        drainMode_ = !drainMode_;
+        drainFlips_ += 1;
+        turnUntil_ = now + ctx_.params.drainTurnaround;
+        return;
     }
+    MemAccess *a = takeAt(queues_[m.bank], m.pos); // ArbFill
+    fillSlot(m.bank, a, a->arrival);
+}
 
-    // tick() already filled every slot this cycle (it only returns
-    // empty-handed after the full pass, round robin included), so
-    // ongoing_ holds each bank's chosen access and the queues hold
-    // backlog plus drain-gated work.
-    dram::StallCause channel_cause = dram::StallCause::NoWork;
-    Tick oldest = kTickMax;
-    bool any_ongoing = false;
-    for (std::uint32_t b = 0; b < std::uint32_t(ongoing_.size()); ++b) {
-        const MemAccess *a = ongoing_[b];
-        if (!a)
-            continue;
-        any_ongoing = true;
-        const dram::StallCause c = noteBankProbe(b, a, now, sink);
-        if (a->arrival < oldest) {
-            oldest = a->arrival;
-            channel_cause = c;
-            stallVictim_ = a;
-        }
-    }
-    if (any_ongoing)
-        return channel_cause;
+bool
+ContentionScheduler::slotBefore(std::uint32_t x, std::uint32_t y) const
+{
+    // The policy order decides inter-bank arbitration: the highest
+    // priority ready slot (marked / least-serviced / whitelisted / best
+    // history score first), or the first in rotation from the last
+    // served bank.
+    if (shape_.pick == InterBank::Priority)
+        return beats(slot(x), slot(y));
+    const std::uint32_t n = numBanks();
+    return (x + n - rr_ - 1) % n < (y + n - rr_ - 1) % n;
+}
 
-    // Work exists but no slot is filled: every queued access is gated
-    // by the drain mode (e.g. reads during a write drain). Nominate
-    // the oldest gated access so the tracer has someone to blame.
+void
+ContentionScheduler::onColumnIssued(std::uint32_t b, MemAccess *a, Tick)
+{
+    rr_ = b; // round robin advances on completed service
+    onServed(a);
+    if (shape_.fifo)
+        fillFront(b);
+}
+
+const MemAccess *
+ContentionScheduler::gatedVictim() const
+{
+    // Every queued access is gated by the drain mode (e.g. reads during
+    // a write drain): blame the oldest.
+    const MemAccess *victim = nullptr;
     for (const auto &q : queues_)
         for (const MemAccess *a : q)
-            if (a->arrival < oldest) {
-                oldest = a->arrival;
-                stallVictim_ = a;
-            }
-    return dram::StallCause::ThresholdGated;
-}
-
-Tick
-ContentionScheduler::nextEventTick(Tick now) const
-{
-    obs::prof::Scope prof(obs::prof::Phase::SchedHorizon);
-    syncEpochs(now);
-    if (!hasWork()) {
-        pin_ = HorizonPin::None;
-        return kTickMax;
-    }
-    if (watermark_) {
-        // During the turnaround hold nothing happens until it ends;
-        // a due flip is applied by the next real tick.
-        if (now < turnUntil_) {
-            pin_ = HorizonPin::DrainFlip;
-            return turnUntil_;
-        }
-        if (flipPending()) {
-            pin_ = HorizonPin::DrainFlip;
-            return now;
-        }
-    }
-
-    // A tick can still pull eligible backlog into an empty ongoing
-    // slot — a real arbitration state change, so no skipping. A FIFO
-    // shape fills on enqueue and on issue, so it never pins here.
-    for (std::uint32_t b = 0;
-         !shape_.fifo && b < std::uint32_t(ongoing_.size()); ++b) {
-        if (ongoing_[b] || queues_[b].empty())
-            continue;
-        for (const MemAccess *a : queues_[b])
-            if (eligible(a)) {
-                pin_ = HorizonPin::ArbFill;
-                return now;
-            }
-    }
-
-    pin_ = HorizonPin::Timing;
-    Tick horizon = kTickMax;
-    for (std::uint32_t b = 0; b < std::uint32_t(ongoing_.size()); ++b) {
-        const MemAccess *a = ongoing_[b];
-        if (!a)
-            continue;
-        const Tick t = bankBound(b, a, now);
-        if (t < horizon)
-            horizon = t;
-        if (horizon <= now)
-            return now;
-    }
-
-    // Policy epoch boundaries (ATLAS quantum folds, BLISS blacklist
-    // clears) re-rank the threads; waking there keeps the lazily
-    // synced state aligned with the step engine's per-cycle view.
-    const Tick epoch = nextEpochTick(now);
-    if (epoch < horizon) {
-        horizon = epoch;
-        pin_ = HorizonPin::Epoch;
-    }
-
-    if (horizon == kTickMax) {
-        if (!watermark_) {
-            // Without a drain mode every queued access is eligible, so
-            // every candidate waits on a state gate (a refresh drain):
-            // only a command the controller itself wakes for clears it.
-            pin_ = HorizonPin::None;
-            return kTickMax;
-        }
-        // Backlog exists but every access is drain-gated and no slot
-        // is busy: progress resumes only when another channel moves
-        // the global write count across a watermark band. The memo is
-        // signature-guarded, but stay conservative.
-        pin_ = HorizonPin::Conservative;
-        return now;
-    }
-    return horizon;
+            if (!victim || a->arrival < victim->arrival)
+                victim = a;
+    return victim;
 }
 
 std::map<std::string, double>
@@ -341,25 +214,23 @@ ContentionScheduler::globalSignature() const
     // count against each watermark, whether any reads are waiting, and
     // which mode we are in — so the controller's horizon memo survives
     // unrelated count drift but never a state change that could alter
-    // the flip decision. (Leaving out the reads_/drainMode_ bits made
+    // the flip decision. (Leaving out the read/drainMode_ bits made
     // the skip engine reuse a pre-flip horizon after the last read
     // drained, visibly diverging from the step engine.)
     const std::size_t gw = ctx_.global->writesOutstanding;
     return std::uint64_t(gw >= hi_) | std::uint64_t(gw < lo_) << 1 |
            std::uint64_t(gw > 0) << 2 |
-           std::uint64_t(reads_ > 0) << 3 |
+           std::uint64_t(readCount() > 0) << 3 |
            std::uint64_t(drainMode_) << 4;
 }
 
 void
-ContentionScheduler::queueOccupancy(std::vector<std::uint32_t> &reads,
-                                    std::vector<std::uint32_t> &writes) const
+ContentionScheduler::queuedOccupancy(std::vector<std::uint32_t> &reads,
+                                     std::vector<std::uint32_t> &writes) const
 {
-    for (std::uint32_t b = 0; b < queues_.size(); ++b) {
+    for (const FlatQueue<MemAccess *> &q : queues_) {
         std::uint32_t r = 0, w = 0;
-        for (const MemAccess *a : queues_[b])
-            (a->isWrite() ? w : r) += 1;
-        if (const MemAccess *a = ongoing_[b])
+        for (const MemAccess *a : q)
             (a->isWrite() ? w : r) += 1;
         reads.push_back(r);
         writes.push_back(w);
@@ -432,7 +303,7 @@ AdaptiveHistoryPolicy::onEnqueued(MemAccess *a)
 }
 
 void
-AdaptiveHistoryPolicy::onColumnIssued(MemAccess *a)
+AdaptiveHistoryPolicy::onServed(MemAccess *a)
 {
     const double deficit = readDeficit();
     if ((a->isRead() && deficit > 0) || (a->isWrite() && deficit < 0))
@@ -504,7 +375,7 @@ ParbsScheduler::onEnqueued(MemAccess *a)
 }
 
 void
-ParbsScheduler::onColumnIssued(MemAccess *a)
+ParbsScheduler::onServed(MemAccess *a)
 {
     if (marked_.erase(a) == 0)
         return;
@@ -620,15 +491,8 @@ AtlasScheduler::syncEpochs(Tick now) const
     anchor_ += folds * q;
 }
 
-Tick
-AtlasScheduler::nextEpochTick(Tick now) const
-{
-    (void)now; // syncEpochs already advanced anchor_ past now - q
-    return anchor_ + ctx_.params.atlasQuantum;
-}
-
 void
-AtlasScheduler::onColumnIssued(MemAccess *a)
+AtlasScheduler::onServed(MemAccess *a)
 {
     // Attained service = data-bus cycles consumed, as in the paper.
     service_[a->tag].quantum += double(a->dataEnd - a->dataStart);
@@ -668,15 +532,8 @@ BlissScheduler::syncEpochs(Tick now) const
     nextClear_ = (now / iv + 1) * iv;
 }
 
-Tick
-BlissScheduler::nextEpochTick(Tick now) const
-{
-    (void)now; // syncEpochs already advanced nextClear_ past now
-    return nextClear_;
-}
-
 void
-BlissScheduler::onColumnIssued(MemAccess *a)
+BlissScheduler::onServed(MemAccess *a)
 {
     if (a->tag == lastTag_) {
         streak_ += 1;

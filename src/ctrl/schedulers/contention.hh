@@ -1,11 +1,12 @@
 /**
  * @file
- * The per-bank-queue chassis and the seven policies written on it.
+ * The seven per-bank-queue policies, written on the two-level chassis
+ * (two_level.hh) like burst scheduling and Intel's scheduler.
  *
- * Every policy here keeps one unified queue per bank plus a per-bank
- * ongoing slot, and differs only in two hooks: the intra-bank order
- * that fills a bank's empty slot, and the inter-bank pick among the
- * slots whose next transaction may issue.
+ * Every policy here keeps one unified queue per bank beside the
+ * chassis's per-bank ongoing slot, and differs only in two hooks: the
+ * intra-bank order that fills a bank's empty slot, and the inter-bank
+ * pick among the slots whose next transaction may issue.
  *
  * The paper's baselines and its related-work comparison point:
  *
@@ -52,19 +53,21 @@
 #include <vector>
 
 #include "ctrl/flat_queue.hh"
-#include "ctrl/scheduler.hh"
+#include "ctrl/schedulers/two_level.hh"
 
 namespace bsim::ctrl
 {
 
 /**
- * The per-bank-queue chassis: unified per-bank queues, an ongoing slot
- * per bank, the optional watermark write-drain mode, and the one tick,
- * stall scan and event horizon every policy here shares. A policy
+ * The per-bank-queue policies on the two-level chassis: unified
+ * per-bank queues and the optional watermark write-drain mode. A policy
  * fixes its Shape at construction and overrides the two order hooks,
  * fillPick() (intra-bank) and beats() (inter-bank priority).
+ *
+ * Its bank arbiter (walkMoves) flips the drain mode (DrainFlip, with a
+ * turnaround hold, see heldUntil()) and fills empty slots (ArbFill).
  */
-class ContentionScheduler : public Scheduler
+class ContentionScheduler : public TwoLevelScheduler
 {
   public:
     /** How the chassis chooses which bank's ready candidate issues. */
@@ -80,12 +83,11 @@ class ContentionScheduler : public Scheduler
     {
         InterBank pick = InterBank::Priority;
         /** Intra-bank order is arrival order. The pick reads no bank
-         *  state, so a slot fills on enqueue and on issue and a bank
-         *  with backlog never waits on a fill (no ArbFill pin). */
+         *  state, so a slot fills on enqueue and on issue and the walk
+         *  has no move (no ArbFill pin). */
         bool fifo = false;
         /** Honour SchedulerParams::watermarkDrain, a contention-family
-         *  axis. Policies without it also never pin Conservative: when
-         *  every candidate waits on a state gate they report none. */
+         *  axis. */
         bool watermarkAxis = true;
     };
 
@@ -95,20 +97,20 @@ class ContentionScheduler : public Scheduler
     }
     ContentionScheduler(const SchedulerContext &ctx, Shape shape);
 
-    void enqueue(MemAccess *a) override;
-    Issued tick(Tick now) override;
-    std::size_t readCount() const override { return reads_; }
-    std::size_t writeCount() const override { return writes_; }
-    bool hasWork() const override { return reads_ + writes_ > 0; }
-    void queueOccupancy(std::vector<std::uint32_t> &reads,
-                        std::vector<std::uint32_t> &writes) const override;
-    dram::StallCause stallScan(Tick now,
-                               obs::StallAttribution &sink) const override;
-    Tick nextEventTick(Tick now) const override;
     std::map<std::string, double> extraStats() const override;
     std::uint64_t globalSignature() const override;
 
   protected:
+    bool walkMoves(MoveSink &take) const override;
+    void applyMove(const Move &m, Tick now) override;
+    void admit(MemAccess *a) override;
+    bool slotBefore(std::uint32_t x, std::uint32_t y) const override;
+    void onColumnIssued(std::uint32_t b, MemAccess *a, Tick now) override;
+    Tick heldUntil() const override { return turnUntil_; }
+    const MemAccess *gatedVictim() const override;
+    void queuedOccupancy(std::vector<std::uint32_t> &reads,
+                         std::vector<std::uint32_t> &writes) const override;
+
     /**
      * Does @p a take priority over @p b? Decides the inter-bank pick
      * under InterBank::Priority and the default fillPick(). The
@@ -132,26 +134,18 @@ class ContentionScheduler : public Scheduler
 
     /**
      * Lazily catch tick-lattice policy state up to @p now (quantum
-     * folds, blacklist clearing). Called at the top of tick(),
-     * nextEventTick() and stallScan(); must be a pure function of
-     * @p now and state accumulated on issue events.
+     * folds, blacklist clearing). Called at the top of every walk, so
+     * before tick() fills or picks; must be a pure function of @p now
+     * and state accumulated on issue events.
      */
     virtual void syncEpochs(Tick now) const { (void)now; }
-
-    /** Next tick-lattice policy boundary strictly after @p now (after
-     *  syncEpochs); kTickMax when the family has none. */
-    virtual Tick nextEpochTick(Tick now) const
-    {
-        (void)now;
-        return kTickMax;
-    }
 
     /** Called after the base queued @p a (batch formation trigger). */
     virtual void onEnqueued(MemAccess *a) { (void)a; }
 
     /** Called when @p a's column access issued and it left the
      *  scheduler (service accounting, streak tracking). */
-    virtual void onColumnIssued(MemAccess *a) { (void)a; }
+    virtual void onServed(MemAccess *a) { (void)a; }
 
     /** Family-specific extra statistics merged by extraStats(). */
     virtual void familyStats(std::map<std::string, double> &out) const
@@ -197,29 +191,16 @@ class ContentionScheduler : public Scheduler
     }
 
   private:
-    /** Fill bank @p b's slot if it is empty and the bank has backlog
-     *  (inline: the round-robin scan calls it for every bank). */
-    void fill(std::uint32_t b)
-    {
-        if (!ongoing_[b] && !queues_[b].empty())
-            fillSlot(b);
-    }
-
-    /** Move the intra-bank order's pick into bank @p b's empty slot. */
-    void fillSlot(std::uint32_t b);
-
-    /** Issue bank @p b's candidate's next transaction. */
-    Issued serve(std::uint32_t b, Tick now);
+    /** Fill bank @p b's empty slot from the front of its queue, if it
+     *  has backlog (Shape::fifo). */
+    void fillFront(std::uint32_t b);
 
     /** Is a drain-mode flip due given the current counts? */
     bool flipPending() const;
 
     const Shape shape_;
     std::vector<FlatQueue<MemAccess *>> queues_; //!< unified, per bank
-    std::vector<MemAccess *> ongoing_;           //!< per bank
     std::uint32_t rr_ = 0; //!< bank whose column access issued last
-    std::size_t reads_ = 0;
-    std::size_t writes_ = 0;
 
     // Watermark write-drain mode (SNIPPETS.md snippets 1-2).
     bool watermark_ = false;
@@ -276,7 +257,7 @@ class AdaptiveHistoryPolicy : public ContentionScheduler
     bool beats(const MemAccess *a, const MemAccess *b) const override;
     std::size_t fillPick(std::uint32_t b) const override;
     void onEnqueued(MemAccess *a) override;
-    void onColumnIssued(MemAccess *a) override;
+    void onServed(MemAccess *a) override;
     void familyStats(std::map<std::string, double> &out) const override;
 
   private:
@@ -324,7 +305,7 @@ class ParbsScheduler : public ContentionScheduler
   protected:
     bool beats(const MemAccess *a, const MemAccess *b) const override;
     void onEnqueued(MemAccess *a) override;
-    void onColumnIssued(MemAccess *a) override;
+    void onServed(MemAccess *a) override;
     void familyStats(std::map<std::string, double> &out) const override;
 
   private:
@@ -360,8 +341,7 @@ class AtlasScheduler : public ContentionScheduler
   protected:
     bool beats(const MemAccess *a, const MemAccess *b) const override;
     void syncEpochs(Tick now) const override;
-    Tick nextEpochTick(Tick now) const override;
-    void onColumnIssued(MemAccess *a) override;
+    void onServed(MemAccess *a) override;
     void familyStats(std::map<std::string, double> &out) const override;
 
   private:
@@ -394,8 +374,7 @@ class BlissScheduler : public ContentionScheduler
   protected:
     bool beats(const MemAccess *a, const MemAccess *b) const override;
     void syncEpochs(Tick now) const override;
-    Tick nextEpochTick(Tick now) const override;
-    void onColumnIssued(MemAccess *a) override;
+    void onServed(MemAccess *a) override;
     void familyStats(std::map<std::string, double> &out) const override;
 
   private:

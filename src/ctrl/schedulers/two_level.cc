@@ -1,6 +1,5 @@
 #include "ctrl/schedulers/two_level.hh"
 
-#include <climits>
 #include <utility>
 
 #include "obs/stall_attribution.hh"
@@ -68,19 +67,18 @@ TwoLevelScheduler::tick(Tick now)
     // Level one: every bank arbiter, each move applied as it is found.
     MoveSink apply{this, now, {}};
     walkMoves(apply);
+    if (now < heldUntil())
+        return {}; // the policy quiesces the whole channel
 
-    // Level two (Figure 6): the unblocked slot with the best (priority,
-    // order); the lowest bank breaks a tie. A slot that cannot beat the
-    // current best is not probed.
+    // Level two (Figure 6): visit the filled slots in ascending bank
+    // order and keep the ready one slotBefore() prefers; the lower bank
+    // wins a tie. A slot that cannot beat the current best is not
+    // probed.
     std::uint32_t best = kNoBank;
-    std::pair<int, std::uint64_t> best_key{INT_MAX, ~std::uint64_t(0)};
     forEachFilled([&](std::uint32_t b) {
-        const Slot &s = slots_[b];
-        const std::pair key{slotPriority(b, s.access), s.order};
-        if (key < best_key && bankBound(b, s.access, now) <= now) {
+        if ((best == kNoBank || slotBefore(b, best)) &&
+            bankBound(b, slots_[b].access, now) <= now)
             best = b;
-            best_key = key;
-        }
         return true;
     });
     if (best == kNoBank) {
@@ -106,14 +104,19 @@ TwoLevelScheduler::nextEventTick(Tick now) const
     // Assuming no arrivals, completions or refreshes: tick() applies
     // every arbiter move before it picks, so a state with a move must
     // be stepped, and the move's kind names the wake. With no move the
-    // arbiters stay idle until a slot issues, and no slot can issue
-    // before the earliest bankBound(); at that tick one can, whichever
-    // the pick prefers. An idle tick's onIdleSpan() is idempotent.
+    // arbiters stay idle until a hold ends or a slot issues, and no
+    // slot can issue before the earliest bankBound(); at that tick one
+    // can, whichever the pick prefers. An idle tick's onIdleSpan() is
+    // idempotent.
     obs::prof::Scope prof(obs::prof::Phase::SchedHorizon);
-    MoveSink stop;
+    MoveSink stop{nullptr, now, {}};
     if (walkMoves(stop)) {
         pin_ = stop.first.kind;
         return now;
+    }
+    if (hasWork() && now < heldUntil()) {
+        pin_ = HorizonPin::DrainFlip;
+        return heldUntil();
     }
 
     pin_ = HorizonPin::Timing;
@@ -136,9 +139,11 @@ TwoLevelScheduler::stallScan(Tick now, obs::StallAttribution &sink) const
 {
     // The slots hold the arbiters' last decisions: the scan follows a
     // tick() that issued nothing, or a state the walk has no move from.
-    // Either way a channel with work has a filled slot, and its cause
-    // is the oldest slot's. Queued work behind an empty slot is noted
-    // with the policy's reason.
+    // The cause is the oldest slot's. Queued work behind an empty slot
+    // is noted with the policy's reason. During a hold every slot waits
+    // on the policy; with work and every slot empty, a policy mode
+    // gates all of it.
+    const bool held = hasWork() && now < heldUntil();
     dram::StallCause cause = dram::StallCause::NoWork;
     const MemAccess *victim = nullptr;
     std::uint64_t oldest = 0;
@@ -150,12 +155,21 @@ TwoLevelScheduler::stallScan(Tick now, obs::StallAttribution &sink) const
                 sink.noteBankStall(ctx_.channel, b, c, kTickMax);
             continue;
         }
-        const dram::StallCause c = noteBankProbe(b, s.access, now, sink);
+        dram::StallCause c = dram::StallCause::ThresholdGated;
+        if (held)
+            sink.noteBankStall(ctx_.channel, b, c, kTickMax);
+        else
+            c = noteBankProbe(b, s.access, now, sink);
         if (!victim || s.order < oldest) {
             oldest = s.order;
             cause = c;
             victim = s.access;
         }
+    }
+    if (!victim && hasWork()) {
+        cause = dram::StallCause::ThresholdGated;
+        if (!held)
+            victim = gatedVictim();
     }
     stallVictim_ = victim;
     return cause;

@@ -1,18 +1,22 @@
 /**
  * @file
- * The two-level chassis shared by burst scheduling (paper Section 3,
- * Figures 5 and 6) and Intel's patented scheduler (paper Table 4).
+ * The two-level chassis every mechanism runs on: the paper's controller
+ * (Section 3, Figures 5 and 6) for burst scheduling, Intel's patented
+ * scheduler and the per-bank-queue baselines and contention families
+ * (paper Table 4; contention.hh).
  *
- * Both keep one ongoing slot per bank. A per-bank arbiter fills the
+ * Each keeps one ongoing slot per bank. A per-bank arbiter fills the
  * slot from the policy's queues, and a transaction scheduler issues,
  * each memory cycle, the best slot whose next transaction may issue.
  * The chassis owns the slots, the transaction pick, the stall scan and
  * the event horizon. A policy owns its queues and supplies:
  *
  *  - its bank arbiters as one const walk over their moves (walkMoves);
- *  - the order of the slots (slotPriority, then the order value each
- *    slot was filled with);
- *  - what a column access does to its state (onColumnIssued).
+ *  - the order of the slots (slotBefore; by default the order value
+ *    each slot was filled with);
+ *  - what a column access does to its state (onColumnIssued);
+ *  - optionally a hold that quiesces the whole channel (heldUntil) and
+ *    the access to blame for work no slot holds (gatedVictim).
  *
  * tick() walks the arbiters applying every move, then picks. The
  * horizon walks the same arbiters and stops at the first move, so it
@@ -104,11 +108,14 @@ class TwoLevelScheduler : public Scheduler
     /** Queue an admitted access (the counts are already updated). */
     virtual void admit(MemAccess *a) = 0;
 
-    /** Slot order, major key: lower issues first. Slots of equal
-     *  priority issue in the order they were filled with. */
-    virtual int slotPriority(std::uint32_t, const MemAccess *) const
+    /** Does bank @p x's slot issue before bank @p y's (both filled)?
+     *  The pick visits the slots in ascending bank order and keeps the
+     *  first ready one no later slot issues before. The default: the
+     *  lower fill order first. */
+    virtual bool
+    slotBefore(std::uint32_t x, std::uint32_t y) const
     {
-        return 0;
+        return slots_[x].order < slots_[y].order;
     }
 
     /** Bank @p b's slot access @p a issued its column access at @p now
@@ -120,7 +127,20 @@ class TwoLevelScheduler : public Scheduler
 
     /** Why bank @p b's queued work waits while its slot is empty;
      *  NoWork when nothing is noted. */
-    virtual dram::StallCause backlogCause(std::uint32_t b) const = 0;
+    virtual dram::StallCause backlogCause(std::uint32_t b) const
+    {
+        (void)b;
+        return dram::StallCause::NoWork;
+    }
+
+    /** The policy holds the whole channel (no move, no issue) while
+     *  `now` is before this tick. The walk offers no move during the
+     *  hold; the horizon wakes when it ends. */
+    virtual Tick heldUntil() const { return 0; }
+
+    /** The access to blame when the channel has work but every slot is
+     *  empty: a policy mode gates all queued work. */
+    virtual const MemAccess *gatedVictim() const { return nullptr; }
 
     /** Append the per-bank counts of queued (not ongoing) accesses. */
     virtual void queuedOccupancy(std::vector<std::uint32_t> &reads,
@@ -129,12 +149,15 @@ class TwoLevelScheduler : public Scheduler
     /** Bank @p b's ongoing access; nullptr when the slot is empty. */
     MemAccess *slot(std::uint32_t b) const { return slots_[b].access; }
 
-    /** Put @p a in bank @p b's empty slot. Among equal priorities the
-     *  lower @p order issues first and is the older slot. */
+    /** Put @p a in bank @p b's empty slot. The lower @p order is the
+     *  older slot (and by default issues first). */
     void fillSlot(std::uint32_t b, MemAccess *a, std::uint64_t order);
 
     /** Empty bank @p b's slot and return what it held. */
     MemAccess *clearSlot(std::uint32_t b);
+
+    /** The order value bank @p b's slot was filled with. */
+    std::uint64_t slotOrder(std::uint32_t b) const { return slots_[b].order; }
 
     std::size_t filledSlots() const { return filled_; }
 

@@ -39,7 +39,6 @@ wakeReasonName(WakeReason r)
       case WakeReason::SchedWriteDrain: return "sched_write_drain";
       case WakeReason::SchedBound: return "sched_bound";
       case WakeReason::SchedConservative: return "sched_conservative";
-      case WakeReason::SchedEpoch: return "sched_epoch";
       case WakeReason::MetricsEpoch: return "metrics_epoch";
       case WakeReason::Unbounded: return "unbounded";
     }

@@ -56,13 +56,11 @@ enum class WakeReason : std::uint8_t
     SchedWriteDrain,   //!< scheduler: a postponed write is being taken
     SchedBound,        //!< scheduler: device-timing release (memoized)
     SchedConservative, //!< scheduler: conservative "never skip" default
-    SchedEpoch,        //!< scheduler: policy epoch (quantum / blacklist /
-                       //!< batch) boundary binds the horizon
     MetricsEpoch,      //!< metrics sampler epoch boundary
     Unbounded,         //!< no finite bound (idle until new work)
 };
 
-constexpr std::size_t kNumWakeReasons = 16;
+constexpr std::size_t kNumWakeReasons = 15;
 
 /** Stable printable name (used in JSON, CSV and docs). */
 const char *wakeReasonName(WakeReason r);

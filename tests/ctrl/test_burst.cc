@@ -334,13 +334,12 @@ TEST(BurstHorizon, EndOfBurstPiggybackPinsPiggyback)
     EXPECT_EQ(h.sched().extraStats().at("piggybacks"), 1.0);
 }
 
-TEST(BurstTH, ThresholdAboveCapPreemptsAndRetakesTheWrite)
+TEST(BurstTH, ThresholdAboveCapFullQueueClosesThePreemptGate)
 {
-    // With the threshold above the write-queue capacity, preemption
-    // stays on while the queue is full. The arbiter then takes the
-    // preempted write straight back (Figure 5 line 2), so the write
-    // stays ongoing with its first pick time, and each such tick
-    // counts a preemption.
+    // With the threshold above the write-queue capacity, a full write
+    // queue still closes the preempt gate: Figure 5 line 2 would take
+    // the preempted write straight back. The write stays ongoing, no
+    // preemption is counted and the horizon waits on its timing.
     Harness h(ctrl::Mechanism::BurstTH, schedtest::smallDram(),
               thParams(/*threshold*/ 128, /*cap*/ 2));
     auto *w0 = h.add(AccessType::Write, 0, 0, 1, 0, 0);
@@ -349,17 +348,18 @@ TEST(BurstTH, ThresholdAboveCapPreemptsAndRetakesTheWrite)
     ASSERT_EQ(h.tick(now++).access, w0); // w0's activate
     auto *r = h.add(AccessType::Read, 0, 0, 2, 0, now);
     for (int i = 0; i < 3; ++i) { // within tRCD: nothing can issue
-        EXPECT_EQ(h.sched().nextEventTick(now), now);
-        EXPECT_EQ(h.sched().lastHorizonPin(), ctrl::HorizonPin::Preempt);
+        EXPECT_GT(h.sched().nextEventTick(now), now);
+        EXPECT_EQ(h.sched().lastHorizonPin(), ctrl::HorizonPin::Timing);
         EXPECT_EQ(h.tick(now++).access, nullptr);
     }
-    EXPECT_EQ(h.sched().extraStats().at("preemptions"), 3.0);
+    EXPECT_EQ(h.sched().extraStats().at("preemptions"), 0.0);
     EXPECT_EQ(w0->pickedAt, 0u);
     const auto order = h.drain(now);
     ASSERT_EQ(order.size(), 3u);
     EXPECT_EQ(order[0], w0);
     EXPECT_EQ(order[1], r);
     EXPECT_EQ(order[2], w1);
+    EXPECT_EQ(h.sched().extraStats().at("preemptions"), 0.0);
 }
 
 TEST(Burst, Table2PrioritySameBankColumnFirst)
