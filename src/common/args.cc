@@ -1,6 +1,7 @@
 #include "common/args.hh"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <ostream>
 
@@ -134,6 +135,21 @@ ArgParser::parseU64(const std::string &name, const std::string &text,
                       "option --%s: '%s' is out of range (at most %llu)",
                       name.c_str(), text.c_str(),
                       (unsigned long long)max);
+    return v;
+}
+
+double
+ArgParser::seconds(const std::string &name) const
+{
+    const std::string &text = str(name);
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    // strtod also reads "nan" and "inf", and overflows to inf.
+    if (end == text.c_str() || *end != '\0' || !std::isfinite(v) || v < 0)
+        throwSimError(ErrorCategory::Config,
+                      "option --%s: '%s' is not a finite, non-negative "
+                      "number of seconds",
+                      name.c_str(), text.c_str());
     return v;
 }
 

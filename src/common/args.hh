@@ -68,6 +68,11 @@ class ArgParser
         return unsigned(parseU64(name, str(name), UINT_MAX - headroom));
     }
 
+    /** Seconds-valued option; throws SimError(ErrorCategory::Config)
+     *  unless it is a finite, non-negative number (nan and inf are
+     *  errors). */
+    double seconds(const std::string &name) const;
+
     /** The checked parse behind u64(): @p text as a decimal no larger
      *  than @p max; errors name option --@p name. */
     static std::uint64_t parseU64(const std::string &name,

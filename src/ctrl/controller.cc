@@ -153,16 +153,9 @@ MemoryController::MemoryController(dram::MemorySystem &mem,
 
     // Stagger per-rank refresh deadlines so refreshes do not align.
     const Tick trefi = dcfg.timing.tREFI;
-    refresh_.resize(std::size_t(dcfg.channels) * dcfg.ranksPerChannel);
-    if (trefi) {
-        for (std::uint32_t ch = 0; ch < dcfg.channels; ++ch) {
-            for (std::uint32_t r = 0; r < dcfg.ranksPerChannel; ++r) {
-                auto &st = refresh_[ch * dcfg.ranksPerChannel + r];
-                st.nextDue =
-                    trefi + Tick(r) * (trefi / dcfg.ranksPerChannel);
-            }
-        }
-    }
+    const std::uint32_t ranks = dcfg.ranksPerChannel;
+    for (std::size_t i = 0; i < std::size_t(dcfg.channels) * ranks; ++i)
+        refreshDue_.push_back(trefi + Tick(i % ranks) * (trefi / ranks));
 }
 
 MemoryController::~MemoryController() = default;
@@ -288,7 +281,7 @@ MemoryController::tick(Tick now)
         SchedMemo &memo = schedMemo_[ch];
         {
             obs::prof::Scope prof(obs::prof::Phase::RefreshEngine);
-            if (refreshTick(ch, now)) {
+            if (refreshWalk(ch, now, this) == now) {
                 // Refresh engine used this channel's command slot; the
                 // command bumped the channel's epoch.
                 if (obs::EngineIntrospect *in = intro())
@@ -327,13 +320,9 @@ MemoryController::tick(Tick now)
         if (obs_)
             accountIdle(ch, now, 1);
         if (eventDriven_) {
-            memo.until = schedulers_[ch]->nextEventTick(now);
-            stampMemo(ch);
-            memo.pin = schedulers_[ch]->lastHorizonPin();
+            rememo(ch, now);
             // The stall scan just taken saw the state this memo proves.
             stallMemo_[ch].gen = memo.gen;
-            if (obs::EngineIntrospect *in = intro())
-                in->noteMemoMiss();
         }
     }
 
@@ -364,44 +353,10 @@ MemoryController::nextEventTick(Tick now, obs::WakeSource *src) const
         consider(pendingReads_.begin()->first,
                  obs::WakeReason::PendingData);
 
-    // Refresh engine mirror: walk ranks exactly as refreshTick() does.
-    // Ranks before the first pending-blocked one flip pending at their
-    // deadline; the first pending rank acts when RefreshAll or one of
-    // its precharges unblocks; ranks after it are shadowed by the scan's
-    // break, so their deadlines must not contribute.
-    const auto &dcfg = mem_.config();
-    if (dcfg.timing.tREFI) {
-        for (std::uint32_t ch = 0;
-             ch < mem_.numChannels() && horizon > now; ++ch) {
-            for (std::uint32_t r = 0; r < dcfg.ranksPerChannel; ++r) {
-                const auto &st =
-                    refresh_[ch * dcfg.ranksPerChannel + r];
-                if (!st.pending) {
-                    consider(st.nextDue, obs::WakeReason::Refresh,
-                             std::int32_t(ch));
-                    continue;
-                }
-                dram::Coords c;
-                c.channel = ch;
-                c.rank = r;
-                // The rank acts at the first tick its RefreshAll or
-                // one of its precharges may issue: the probes' readyAt
-                // (RefreshAll's is kTickMax while a bank is open).
-                dram::Command ref{dram::CmdType::RefreshAll, c, 0};
-                consider(mem_.probe(ref, now).readyAt,
-                         obs::WakeReason::Refresh, std::int32_t(ch));
-                for (std::uint32_t b = 0; b < dcfg.banksPerRank; ++b) {
-                    c.bank = b;
-                    if (!mem_.bank(c).isOpen())
-                        continue;
-                    dram::Command pre{dram::CmdType::Precharge, c, 0};
-                    consider(mem_.probe(pre, now).readyAt,
-                             obs::WakeReason::Refresh, std::int32_t(ch));
-                }
-                break;
-            }
-        }
-    }
+    for (std::uint32_t ch = 0;
+         ch < mem_.numChannels() && horizon > now; ++ch)
+        consider(refreshWalk(ch, now, nullptr), obs::WakeReason::Refresh,
+                 std::int32_t(ch));
 
     for (std::uint32_t ch = 0;
          ch < mem_.numChannels() && horizon > now; ++ch)
@@ -423,17 +378,27 @@ MemoryController::schedHorizon(std::uint32_t channel, Tick now) const
     // timing state, the version stamp its queue contents and the
     // signature the global-count bands. A bound that has expired
     // (until <= now) forces a recomputation.
-    SchedMemo &memo = schedMemo_[channel];
-    if (!memoValid(channel) || memo.until <= now) {
-        memo.until = schedulers_[channel]->nextEventTick(now);
-        stampMemo(channel);
-        memo.pin = schedulers_[channel]->lastHorizonPin();
-        if (obs::EngineIntrospect *in = intro())
-            in->noteMemoMiss();
-    } else if (obs::EngineIntrospect *in = intro()) {
+    const SchedMemo &memo = schedMemo_[channel];
+    if (!memoValid(channel) || memo.until <= now)
+        rememo(channel, now);
+    else if (obs::EngineIntrospect *in = intro())
         in->noteMemoHit();
-    }
     return memo.until;
+}
+
+void
+MemoryController::rememo(std::uint32_t channel, Tick now) const
+{
+    SchedMemo &m = schedMemo_[channel];
+    const Scheduler &sched = *schedulers_[channel];
+    m.until = sched.nextEventTick(now);
+    m.pin = sched.lastHorizonPin();
+    m.epoch = mem_.epoch(channel);
+    m.version = chanVersion_[channel];
+    m.signature = sched.globalSignature();
+    m.gen += 1;
+    if (obs::EngineIntrospect *in = intro())
+        in->noteMemoMiss();
 }
 
 void
@@ -520,62 +485,81 @@ MemoryController::sampleOccupancy()
         stats_.writeSatTicks += 1;
 }
 
-bool
-MemoryController::refreshTick(std::uint32_t channel, Tick now)
+inline Tick
+MemoryController::refreshWalk(std::uint32_t channel, Tick now,
+                              MemoryController *apply) const
 {
     const auto &dcfg = mem_.config();
+    Tick first = kTickMax;
     if (!dcfg.timing.tREFI)
-        return false;
+        return first;
     for (std::uint32_t r = 0; r < dcfg.ranksPerChannel; ++r) {
-        auto &st = refresh_[channel * dcfg.ranksPerChannel + r];
-        if (!st.pending) {
-            if (now < st.nextDue)
-                continue;
-            st.pending = true;
+        // A rank's gate closes at or after its deadline and opens as
+        // the deadline moves on, so a rank not yet due is not draining.
+        const Tick due = refreshDue_[channel * dcfg.ranksPerChannel + r];
+        if (now < due) {
+            first = std::min(first, due);
+            continue;
         }
-
-        // Precharge any open bank; then refresh the rank. The drain
-        // gate bars the scheduler from re-activating banks we close
-        // here — without it a busy burst scheduler re-opens rows as
-        // fast as we precharge them and the refresh starves forever
-        // (watchdog livelock: ACT/PRE ping-pong, nothing retires).
-        dram::Coords c;
-        c.channel = channel;
-        c.rank = r;
-
+        dram::Coords c{channel, r};
         if (!mem_.refreshDraining(channel, r)) {
-            // Closing the gate bumps the channel's epoch: it turns the
-            // channel's Activate bounds into state gates.
-            mem_.setRefreshDrain(channel, r, true);
-            if (obs::EngineIntrospect *in = intro())
-                in->noteMemoInvalidate();
+            // Closing the gate bumps the channel's epoch, so it is a
+            // move of its own even when the rank can do nothing else.
+            if (!apply)
+                return due;
+            apply->applyRefresh(RefreshMove::CloseGate, c, now);
         }
-
-        dram::Command ref{dram::CmdType::RefreshAll, c, 0};
-        if (mem_.canIssue(ref, now)) {
-            mem_.issue(ref, now);
-            st.pending = false;
-            st.nextDue += dcfg.timing.tREFI;
-            stats_.refreshes += 1;
-            mem_.setRefreshDrain(channel, r, false);
-            return true;
-        }
-        for (std::uint32_t b = 0; b < dcfg.banksPerRank; ++b) {
-            c.bank = b;
-            if (!mem_.bank(c).isOpen())
-                continue;
-            dram::Command pre{dram::CmdType::Precharge, c, 0};
-            if (mem_.canIssue(pre, now)) {
-                mem_.issue(pre, now);
-                return true;
-            }
-        }
+        // Precharge any open bank; then refresh the rank (RefreshAll's
+        // readyAt is kTickMax while a bank is open). A command takes
+        // the slot and ends the walk.
+        const auto issues = [&](RefreshMove m, dram::CmdType type) {
+            const Tick at = mem_.readyAt({type, c, 0}, now);
+            if (at <= now && apply)
+                apply->applyRefresh(m, c, now);
+            first = std::min(first, at);
+            return at <= now;
+        };
+        if (issues(RefreshMove::Refresh, dram::CmdType::RefreshAll))
+            return now;
+        for (c.bank = 0; c.bank < dcfg.banksPerRank; ++c.bank)
+            if (mem_.bank(c).isOpen() &&
+                issues(RefreshMove::Precharge, dram::CmdType::Precharge))
+                return now;
         // This rank's refresh is pending but blocked by timing; do not
         // let a lower-priority rank steal the slot for its refresh, but
         // do allow the scheduler to keep other ranks busy.
-        return false;
+        return first;
     }
-    return false;
+    return first;
+}
+
+void
+MemoryController::applyRefresh(RefreshMove m, const dram::Coords &at,
+                               Tick now)
+{
+    const auto &dcfg = mem_.config();
+    switch (m) {
+      case RefreshMove::CloseGate:
+        // The drain gate bars the scheduler from re-activating banks
+        // the engine closes — without it a busy burst scheduler
+        // re-opens rows as fast as they are precharged and the refresh
+        // starves forever (watchdog livelock: ACT/PRE ping-pong,
+        // nothing retires).
+        mem_.setRefreshDrain(at.channel, at.rank, true);
+        if (obs::EngineIntrospect *in = intro())
+            in->noteMemoInvalidate();
+        return;
+      case RefreshMove::Refresh:
+        mem_.issue({dram::CmdType::RefreshAll, at, 0}, now);
+        refreshDue_[at.channel * dcfg.ranksPerChannel + at.rank] +=
+            dcfg.timing.tREFI;
+        stats_.refreshes += 1;
+        mem_.setRefreshDrain(at.channel, at.rank, false);
+        return;
+      case RefreshMove::Precharge:
+        mem_.issue({dram::CmdType::Precharge, at, 0}, now);
+        return;
+    }
 }
 
 void
@@ -742,11 +726,11 @@ MemoryController::progressSnapshot(Tick now) const
                                 .c_str());
         out += line;
         for (std::uint32_t r = 0; r < dcfg.ranksPerChannel; ++r) {
-            const auto &rf = refresh_[ch * dcfg.ranksPerChannel + r];
             std::snprintf(line, sizeof(line),
                           "\n    rank%u: refresh %s, next due @%llu", r,
-                          rf.pending ? "PENDING" : "idle",
-                          static_cast<unsigned long long>(rf.nextDue));
+                          mem_.refreshDraining(ch, r) ? "PENDING" : "idle",
+                          static_cast<unsigned long long>(
+                              refreshDue_[ch * dcfg.ranksPerChannel + r]));
             out += line;
             for (std::uint32_t b = 0; b < dcfg.banksPerRank; ++b) {
                 const dram::Bank &bank =

@@ -257,12 +257,12 @@ class MemoryController
     std::string progressSnapshot(Tick now) const;
 
   private:
-    /** Per-(channel,rank) refresh engine state. The rank's drain gate
-     *  lives in the device (MemorySystem::refreshDraining()). */
-    struct RefreshState
+    /** A refresh-engine move on one rank. */
+    enum class RefreshMove : std::uint8_t
     {
-        Tick nextDue = 0;
-        bool pending = false;
+        CloseGate, //!< the due rank closes its drain gate
+        Refresh,   //!< the draining rank's RefreshAll
+        Precharge, //!< one of its open banks' Precharge
     };
 
     /**
@@ -307,16 +307,9 @@ class MemoryController
                m.signature == schedulers_[channel]->globalSignature();
     }
 
-    /** Re-stamp @p channel's memo as valid for the current state. */
-    void
-    stampMemo(std::uint32_t channel) const
-    {
-        SchedMemo &m = schedMemo_[channel];
-        m.epoch = mem_.epoch(channel);
-        m.version = chanVersion_[channel];
-        m.signature = schedulers_[channel]->globalSignature();
-        m.gen += 1;
-    }
+    /** Recompute @p channel's memo at @p now from its scheduler's
+     *  horizon and stamp it valid for the current state (a memo miss). */
+    void rememo(std::uint32_t channel, Tick now) const;
 
     /** Engine-introspection pillar; nullptr when off. */
     obs::EngineIntrospect *intro() const;
@@ -346,8 +339,24 @@ class MemoryController
     Tick schedHorizon(std::uint32_t channel, Tick now) const;
     /** Snapshot counters/queues at the end of tick @p now. */
     void sampleMetrics(Tick now);
-    /** Run the refresh engine for @p channel; true if it used the slot. */
-    bool refreshTick(std::uint32_t channel, Tick now);
+    /**
+     * Channel @p channel's refresh engine as a const walk over its
+     * moves at @p now, in rank order: the first rank whose deadline has
+     * come closes its drain gate (a rank is pending exactly while its
+     * gate is closed), then issues its RefreshAll or else one open
+     * bank's Precharge; later ranks are shadowed. tick() passes
+     * @p apply, which applies each move before the walk reads on; the
+     * horizon passes nullptr and stops at the first. Returns the first
+     * tick a move exists at: the deadline of a gate it stopped at,
+     * @p now once a command took the slot, else the earliest tick one
+     * appears (kTickMax: none). Inline, and defined in controller.cc,
+     * its only user: tick() and nextEventTick() call it per channel
+     * per cycle, and as an out-of-line call it cost `pchase` about 5%.
+     */
+    inline Tick refreshWalk(std::uint32_t channel, Tick now,
+                            MemoryController *apply) const;
+    /** Apply refresh move @p m on rank (or bank) @p at at @p now. */
+    void applyRefresh(RefreshMove m, const dram::Coords &at, Tick now);
     void handleIssued(const Scheduler::Issued &issued);
     void finishAccess(MemAccess *a);
 
@@ -371,7 +380,8 @@ class MemoryController
     std::size_t inflightCount_ = 0;
     /** Reads whose data transfer is scheduled, keyed by completion tick. */
     std::multimap<Tick, MemAccess *> pendingReads_;
-    std::vector<RefreshState> refresh_; //!< channel-major [ch*ranks + r]
+    /** Next refresh deadline per rank, channel-major [ch*ranks + r]. */
+    std::vector<Tick> refreshDue_;
     std::uint64_t nextId_ = 1;
 
     /** Per-channel enqueue version: covers every decision input beyond

@@ -1,6 +1,7 @@
 #include "sim/run_axes.hh"
 
 #include <charconv>
+#include <cmath>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -76,13 +77,15 @@ choiceAxis(RunAxis a, E Cfg::*field, Tokens<E> tokens)
     return a;
 }
 
-/** A decimal axis: unsigned integers, or a non-negative double. */
+/** A decimal axis: unsigned integers, or a finite, non-negative
+ *  double. */
 template <typename T>
 RunAxis
 numberAxis(RunAxis a, T Cfg::*field)
 {
-    a.expects = std::is_floating_point_v<T> ? "a non-negative number"
-                                            : "a number";
+    a.expects = std::is_floating_point_v<T>
+                    ? "a finite, non-negative number"
+                    : "a number";
     a.print = [field](const Cfg &c) {
         std::ostringstream os;
         os << c.*field;
@@ -95,7 +98,7 @@ numberAxis(RunAxis a, T Cfg::*field)
         if (ec != std::errc() || ptr != end)
             return false;
         if constexpr (std::is_floating_point_v<T>)
-            if (!(v >= 0)) // also rejects NaN
+            if (!std::isfinite(v) || v < 0)
                 return false;
         c.*field = v;
         return true;

@@ -129,24 +129,10 @@ System::releaseObservability()
     return std::move(obs_);
 }
 
-bool
-System::canSend(unsigned n) const
+cpu::MemPort &
+System::port(std::uint32_t core)
 {
-    return cores_[0].fsbQueue.size() + n <= cfg_.memQueueCap;
-}
-
-void
-System::sendRead(Addr block_addr, bool critical)
-{
-    cores_[0].fsbQueue.push_back(
-        {block_addr, false, critical, now_ + cfg_.fsbLatency});
-}
-
-void
-System::sendWrite(Addr block_addr)
-{
-    cores_[0].fsbQueue.push_back(
-        {block_addr, true, false, now_ + cfg_.fsbLatency});
+    return *cores_[core].port;
 }
 
 void

@@ -176,11 +176,8 @@ class System
      */
     std::unique_ptr<obs::Observability> releaseObservability();
 
-    // Single-core MemPort convenience (routes to core 0's FSB queue);
-    // primarily for tests exercising the queue discipline.
-    bool canSend(unsigned n) const;
-    void sendRead(Addr block_addr, bool critical = false);
-    void sendWrite(Addr block_addr);
+    /** Core @p core's MemPort: its caches' port into its FSB queue. */
+    cpu::MemPort &port(std::uint32_t core);
 
   private:
     struct FsbRequest

@@ -208,6 +208,36 @@ TEST(Args, U32RejectsWhatDoesNotFitUnsigned)
                      "out of range");
 }
 
+TEST(Args, SecondsAreFiniteAndNonNegative)
+{
+    // strtod reads "nan" and "inf"; a NaN heartbeat period would turn
+    // the heartbeat off and skip the campaign's deadline check.
+    ArgParser p("prog");
+    p.addOption("period", "0.25", "seconds");
+    std::ostringstream err;
+    Argv none({});
+    ASSERT_TRUE(p.parse(none.argc(), none.argv(), err));
+    EXPECT_EQ(p.seconds("period"), 0.25);
+    for (const char *ok : {"0", "1.5", "2e1"}) {
+        ArgParser q("prog");
+        q.addOption("period", "0", "seconds");
+        Argv a({"--period", ok});
+        ASSERT_TRUE(q.parse(a.argc(), a.argv(), err));
+        EXPECT_EQ(q.seconds("period"), std::stod(ok)) << ok;
+    }
+    for (const char *bad :
+         {"nan", "NaN", "inf", "-inf", "infinity", "1e999", "-1", "", "x",
+          "1s"}) {
+        ArgParser q("prog");
+        q.addOption("period", "0", "seconds");
+        Argv a({"--period", bad});
+        ASSERT_TRUE(q.parse(a.argc(), a.argv(), err));
+        EXPECT_SIM_ERROR(q.seconds("period"), bsim::ErrorCategory::Config,
+                         "option --period: '" + std::string(bad) +
+                             "' is not a finite, non-negative number");
+    }
+}
+
 TEST(Args, ParseU64NamesTheOption)
 {
     // The campaign parses each --only-shards id through this path, so

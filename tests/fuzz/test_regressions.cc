@@ -13,7 +13,9 @@
 #include <string>
 
 #include "fuzz/oracle.hh"
+#include "obs/engine_introspect.hh"
 #include "obs/obs_config.hh"
+#include "obs/observability.hh"
 #include "sim/report.hh"
 
 using namespace bsim;
@@ -28,6 +30,39 @@ resultJson(const sim::RunResult &r)
     std::ostringstream os;
     sim::writeResultJson(os, r);
     return os.str();
+}
+
+/**
+ * Run @p cfg on both engines and expect them to agree on the result
+ * JSON and the stall-attribution JSON, and on the cycles each covers: a
+ * second, introspected run per engine must count as many stepped plus
+ * skipped cycles on the skip engine as the step engine steps.
+ */
+void
+expectEnginesAgree(sim::ExperimentConfig cfg, const std::string &label)
+{
+    std::string json[2], stalls[2];
+    std::uint64_t stepped[2], skipped[2];
+    for (int e = 0; e < 2; ++e) {
+        cfg.engine = e ? sim::EngineKind::Skip : sim::EngineKind::Step;
+        cfg.obs.stallAttribution = true;
+        cfg.obs.engineIntrospect = false;
+        const sim::RunResult r = runExperiment(cfg);
+        json[e] = resultJson(r);
+        std::ostringstream os;
+        r.obs->writeStallJson(os);
+        stalls[e] = os.str();
+
+        cfg.obs.stallAttribution = false;
+        cfg.obs.engineIntrospect = true;
+        const sim::RunResult ri = runExperiment(cfg);
+        stepped[e] = ri.obs->introspect()->steppedCycles();
+        skipped[e] = ri.obs->introspect()->skippedCycles();
+    }
+    EXPECT_EQ(json[0], json[1]) << label;
+    EXPECT_EQ(stalls[0], stalls[1]) << label;
+    EXPECT_EQ(skipped[0], 0u) << label;
+    EXPECT_EQ(stepped[0], stepped[1] + skipped[1]) << label;
 }
 
 /** checkPoint() and fail with the full verdict on a regression. */
@@ -131,31 +166,34 @@ TEST(FuzzRegressions, Ddr266BaselineAuditFatalClean)
     EXPECT_NO_THROW(runExperiment(cfg)); // Fatal audit throws on any hit
 }
 
-// The controller's refresh horizon walk (nextEventTick's per-rank
-// mirror of refreshTick) must stay exact under the skip engine when
+// The controller's refresh walk, which tick() applies and
+// nextEventTick() stops at, must stay exact under the skip engine when
 // tREFI is prime relative to every natural skip span — 3119 and 1039
 // are prime, so refresh deadlines land at maximally awkward offsets
-// inside skipped regions. Byte-identical output against the step
-// engine proves no refresh is deferred or doubled.
+// inside skipped regions. Identical output against the step engine
+// proves no refresh is deferred or doubled. Close-page-auto leaves
+// banks closed, so a due rank can refresh at once, in the same tick
+// its drain gate closes.
 TEST(FuzzRegressions, RefreshPrimeEngineEquivalence)
 {
     for (auto dev : {sim::DeviceGen::DDR2_800, sim::DeviceGen::DDR_266}) {
         for (auto m : {ctrl::Mechanism::BkInOrder, ctrl::Mechanism::Burst,
                        ctrl::Mechanism::AdaptiveHistory}) {
-            sim::ExperimentConfig cfg;
-            cfg.workload = "swim";
-            cfg.instructions = 12000;
-            cfg.mechanism = m;
-            cfg.device = dev;
-            cfg.timingVariant = sim::TimingVariant::RefreshPrime;
-
-            cfg.engine = sim::EngineKind::Step;
-            const std::string step = resultJson(runExperiment(cfg));
-            cfg.engine = sim::EngineKind::Skip;
-            const std::string skip = resultJson(runExperiment(cfg));
-            EXPECT_EQ(step, skip)
-                << ctrl::mechanismName(m) << " on "
-                << sim::deviceGenName(dev);
+            for (auto pp : {dram::PagePolicy::OpenPage,
+                            dram::PagePolicy::ClosePageAuto}) {
+                sim::ExperimentConfig cfg;
+                cfg.workload = "swim";
+                cfg.instructions = 12000;
+                cfg.mechanism = m;
+                cfg.device = dev;
+                cfg.pagePolicy = pp;
+                cfg.timingVariant = sim::TimingVariant::RefreshPrime;
+                expectEnginesAgree(
+                    cfg, std::string(ctrl::mechanismName(m)) + " on " +
+                             sim::deviceGenName(dev) +
+                             (pp == dram::PagePolicy::OpenPage ? ""
+                                                               : ", cpa"));
+            }
         }
     }
 }
@@ -164,19 +202,19 @@ TEST(FuzzRegressions, RefreshPrimeEngineEquivalence)
 // here pins the gate's set/clear points to the same ticks in both
 // engines (a gate change bumps the channel's device epoch, which the
 // skip engine's caches key on, so a gate set or cleared at another
-// tick would surface as a one-byte JSON diff).
+// tick would surface as a one-byte diff in the result or stall JSON).
 TEST(FuzzRegressions, RefreshHeavyEngineEquivalence)
 {
-    sim::ExperimentConfig cfg;
-    cfg.workload = "swim";
-    cfg.instructions = 12000;
-    cfg.mechanism = ctrl::Mechanism::BurstTH;
-    cfg.device = sim::DeviceGen::DDR_266;
-    cfg.timingVariant = sim::TimingVariant::RefreshHeavy;
-
-    cfg.engine = sim::EngineKind::Step;
-    const std::string step = resultJson(runExperiment(cfg));
-    cfg.engine = sim::EngineKind::Skip;
-    const std::string skip = resultJson(runExperiment(cfg));
-    EXPECT_EQ(step, skip);
+    for (auto pp :
+         {dram::PagePolicy::OpenPage, dram::PagePolicy::ClosePageAuto}) {
+        sim::ExperimentConfig cfg;
+        cfg.workload = "swim";
+        cfg.instructions = 12000;
+        cfg.mechanism = ctrl::Mechanism::BurstTH;
+        cfg.device = sim::DeviceGen::DDR_266;
+        cfg.pagePolicy = pp;
+        cfg.timingVariant = sim::TimingVariant::RefreshHeavy;
+        expectEnginesAgree(
+            cfg, pp == dram::PagePolicy::OpenPage ? "open" : "cpa");
+    }
 }

@@ -203,4 +203,18 @@ TEST(RunAxes, BadNumberTokenIsAConfigErrorFromTheCli)
         EXPECT_SIM_ERROR(applyRunAxisOptions(args, cfg),
                          ErrorCategory::Config, "--seed expects a number");
     }
+    // A wall-clock budget must be finite: from_chars reads "inf".
+    for (const char *bad : {"nan", "inf", "-1"}) {
+        SCOPED_TRACE(bad);
+        ArgParser args("test");
+        addRunAxisOptions(args);
+        const char *argv[] = {"test", "--deadline-sec", bad};
+        std::ostringstream err;
+        ASSERT_TRUE(args.parse(3, argv, err)) << err.str();
+        ExperimentConfig cfg;
+        EXPECT_SIM_ERROR(applyRunAxisOptions(args, cfg),
+                         ErrorCategory::Config,
+                         "--deadline-sec expects a finite, non-negative "
+                         "number");
+    }
 }

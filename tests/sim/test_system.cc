@@ -90,12 +90,13 @@ TEST(System, MemPortRespectsQueueCap)
     SystemConfig cfg = SystemConfig::baseline();
     cfg.memQueueCap = 2;
     System sys(cfg, gen);
-    EXPECT_TRUE(sys.canSend(2));
-    sys.sendRead(0);
-    EXPECT_TRUE(sys.canSend(1));
-    EXPECT_FALSE(sys.canSend(2));
-    sys.sendWrite(64);
-    EXPECT_FALSE(sys.canSend(1));
+    cpu::MemPort &port = sys.port(0);
+    EXPECT_TRUE(port.canSend(2));
+    port.sendRead(0);
+    EXPECT_TRUE(port.canSend(1));
+    EXPECT_FALSE(port.canSend(2));
+    port.sendWrite(64);
+    EXPECT_FALSE(port.canSend(1));
 }
 
 TEST(System, BaselineMatchesTable3)

@@ -31,7 +31,6 @@
 #include <cinttypes>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -92,18 +91,6 @@ pointsFrom(const ArgParser &args)
     return points;
 }
 
-double
-parseSeconds(const ArgParser &args, const char *name)
-{
-    const std::string &v = args.str(name);
-    char *end = nullptr;
-    const double d = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end || d < 0)
-        throwSimError(ErrorCategory::Config,
-                      "--%s must be a non-negative number", name);
-    return d;
-}
-
 campaign::CampaignOptions
 campaignOptionsFrom(const ArgParser &args)
 {
@@ -118,12 +105,12 @@ campaignOptionsFrom(const ArgParser &args)
             unsigned(ArgParser::parseU64("only-shards", s, UINT_MAX)));
     opt.workerJobs = args.u32("jobs");
     opt.maxAttempts = args.u32("retries", 1) + 1;
-    opt.heartbeatSec = parseSeconds(args, "heartbeat-sec");
-    opt.workerDeadlineSec = parseSeconds(args, "worker-deadline-sec");
-    opt.killGraceSec = parseSeconds(args, "kill-grace-sec");
+    opt.heartbeatSec = args.seconds("heartbeat-sec");
+    opt.workerDeadlineSec = args.seconds("worker-deadline-sec");
+    opt.killGraceSec = args.seconds("kill-grace-sec");
     opt.maxLaunches = args.u32("max-launches");
-    opt.backoffBaseSec = parseSeconds(args, "backoff-sec");
-    opt.backoffCapSec = parseSeconds(args, "backoff-cap-sec");
+    opt.backoffBaseSec = args.seconds("backoff-sec");
+    opt.backoffCapSec = args.seconds("backoff-cap-sec");
     opt.quarantineStrikes = args.u32("strikes");
     opt.journalSync = !args.flag("no-journal-sync");
     return opt;

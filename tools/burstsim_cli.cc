@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <csignal>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -118,14 +117,7 @@ sweepOptionsFrom(const ArgParser &args)
     opt.journal = args.str("sweep-journal");
     opt.cancel = &g_interrupted;
     opt.progressPath = args.str("progress-out");
-    const std::string &hb = args.str("heartbeat-sec");
-    if (!hb.empty()) {
-        char *end = nullptr;
-        opt.heartbeatSec = std::strtod(hb.c_str(), &end);
-        if (end == hb.c_str() || *end || opt.heartbeatSec < 0)
-            throwSimError(ErrorCategory::Config,
-                          "--heartbeat-sec must be a non-negative number");
-    }
+    opt.heartbeatSec = args.seconds("heartbeat-sec");
     return opt;
 }
 
