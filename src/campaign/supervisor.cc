@@ -223,6 +223,13 @@ validateCampaign(const std::vector<sim::ExperimentConfig> &points,
     if (opt.maxLaunches == 0)
         throwSimError(ErrorCategory::Config,
                       "campaign --max-launches must be at least 1");
+    if (opt.workerDeadlineSec > 0 && opt.heartbeatSec == 0)
+        throwSimError(
+            ErrorCategory::Config,
+            "campaign heartbeat 0 (off) needs worker deadline 0 (never), "
+            "got %.3gs: without a heartbeat every worker whose point "
+            "outlasts the deadline gets killed as stale",
+            opt.workerDeadlineSec);
     if (opt.workerDeadlineSec > 0 && opt.heartbeatSec > 0 &&
         opt.workerDeadlineSec <= 2 * opt.heartbeatSec)
         throwSimError(

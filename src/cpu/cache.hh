@@ -40,6 +40,8 @@ struct CacheConfig
     {
         return sizeBytes / (std::uint64_t(assoc) * blockBytes);
     }
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /** Result of inserting a block. */
@@ -87,6 +89,9 @@ class Cache
 
     /** Geometry. */
     const CacheConfig &config() const { return cfg_; }
+
+    /** Same geometry, tag state, LRU stamps and counters. */
+    bool operator==(const Cache &) const = default;
 
   private:
     /** Set @p set's words: assoc tags, assoc LRU stamps, the valid

@@ -1,5 +1,7 @@
 #include "cpu/cache_hierarchy.hh"
 
+#include "common/error.hh"
+
 namespace bsim::cpu
 {
 
@@ -85,6 +87,16 @@ CacheHierarchy::prefill(Addr block, bool dirty, bool also_l1)
     (void)l2_.insert(block, dirty); // warmup evictions carry no traffic
     if (also_l1)
         (void)l1d_.insert(block, dirty);
+}
+
+void
+CacheHierarchy::restoreWarm(const Cache &l1d, const Cache &l2)
+{
+    if (l1d.config() != cfg_.l1d || l2.config() != cfg_.l2)
+        throwSimError(ErrorCategory::Internal,
+                      "warm image geometry differs from the hierarchy's");
+    l1d_ = l1d;
+    l2_ = l2;
 }
 
 std::vector<std::uint64_t>

@@ -118,6 +118,14 @@ class CacheHierarchy
      */
     void prefill(Addr block, bool dirty, bool also_l1 = false);
 
+    /**
+     * Steady-state warmup from a stored image: replace both levels'
+     * whole state (tags, LRU stamps, counters) with copies of @p l1d
+     * and @p l2, caches an earlier hierarchy of the same geometry was
+     * prefilled into. A geometry mismatch is SimError(Internal).
+     */
+    void restoreWarm(const Cache &l1d, const Cache &l2);
+
     /** Outstanding fill count. */
     std::size_t mshrsInUse() const { return mshr_.size(); }
 

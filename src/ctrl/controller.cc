@@ -156,6 +156,7 @@ MemoryController::MemoryController(dram::MemorySystem &mem,
     const std::uint32_t ranks = dcfg.ranksPerChannel;
     for (std::size_t i = 0; i < std::size_t(dcfg.channels) * ranks; ++i)
         refreshDue_.push_back(trefi + Tick(i % ranks) * (trefi / ranks));
+    refreshNext_.assign(dcfg.channels, trefi);
 }
 
 MemoryController::~MemoryController() = default;
@@ -493,6 +494,9 @@ MemoryController::refreshWalk(std::uint32_t channel, Tick now,
     Tick first = kTickMax;
     if (!dcfg.timing.tREFI)
         return first;
+    // No rank due: the walk would only take the earliest deadline.
+    if (now < refreshNext_[channel])
+        return refreshNext_[channel];
     for (std::uint32_t r = 0; r < dcfg.ranksPerChannel; ++r) {
         // A rank's gate closes at or after its deadline and opens as
         // the deadline moves on, so a rank not yet due is not draining.
@@ -549,13 +553,17 @@ MemoryController::applyRefresh(RefreshMove m, const dram::Coords &at,
         if (obs::EngineIntrospect *in = intro())
             in->noteMemoInvalidate();
         return;
-      case RefreshMove::Refresh:
+      case RefreshMove::Refresh: {
         mem_.issue({dram::CmdType::RefreshAll, at, 0}, now);
-        refreshDue_[at.channel * dcfg.ranksPerChannel + at.rank] +=
-            dcfg.timing.tREFI;
+        const auto due =
+            refreshDue_.begin() + at.channel * dcfg.ranksPerChannel;
+        due[at.rank] += dcfg.timing.tREFI;
+        refreshNext_[at.channel] =
+            *std::min_element(due, due + dcfg.ranksPerChannel);
         stats_.refreshes += 1;
         mem_.setRefreshDrain(at.channel, at.rank, false);
         return;
+      }
       case RefreshMove::Precharge:
         mem_.issue({dram::CmdType::Precharge, at, 0}, now);
         return;

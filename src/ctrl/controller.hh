@@ -382,6 +382,8 @@ class MemoryController
     std::multimap<Tick, MemAccess *> pendingReads_;
     /** Next refresh deadline per rank, channel-major [ch*ranks + r]. */
     std::vector<Tick> refreshDue_;
+    /** Per channel, the earliest of its ranks' refreshDue_. */
+    std::vector<Tick> refreshNext_;
     std::uint64_t nextId_ = 1;
 
     /** Per-channel enqueue version: covers every decision input beyond

@@ -114,6 +114,8 @@ ContentionScheduler::walkMoves(MoveSink &take) const
     }
     if (shape_.fifo)
         return false; // slots fill on enqueue and on issue
+    if (readCount() + writeCount() == filledSlots())
+        return false; // nothing queued behind the slots
 
     // Fill bank b's empty slot with its intra-bank pick; false when
     // the walk ends there.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 
 #include "common/rng.hh"
 
@@ -27,46 +28,65 @@ namespace
  * and produce main-memory writeback traffic from the first cycle — as a
  * long-running benchmark would. Without this, short runs see no writes
  * at all until the L2 fills (the paper simulates 2 billion instructions
- * and never observes that transient).
+ * and never observes that transient). Reads @p k and nothing else.
  */
 void
-prewarmCaches(cpu::CacheHierarchy &h, const trace::SyntheticGenerator &gen,
-              std::uint64_t seed)
+prewarmCaches(cpu::CacheHierarchy &h, const WarmKey &k)
 {
-    const trace::WorkloadProfile &p = gen.profile();
-    const std::uint64_t blk = h.l1d().config().blockBytes;
-    Rng rng(seed ^ 0x5eedcafe);
+    const std::uint64_t blk = k.l1d.blockBytes;
+    Rng rng(k.seed ^ 0x5eedcafe);
 
-    const std::uint64_t l1_blocks = h.l1d().config().sizeBytes / blk;
-    const std::uint64_t hot_blocks = p.hotBytes / blk;
+    const std::uint64_t l1_blocks = k.l1d.sizeBytes / blk;
+    const std::uint64_t hot_blocks = k.hotBytes / blk;
     for (std::uint64_t i = 0; i < hot_blocks; ++i) {
-        const Addr a = p.regionBase + i * blk;
-        h.prefill(a, rng.chance(p.writeFraction), i < l1_blocks);
+        const Addr a = k.regionBase + i * blk;
+        h.prefill(a, rng.chance(k.writeFraction), i < l1_blocks);
     }
 
-    // Fill the remaining L2 capacity completely, alternating dirty
-    // write-stream blocks with clean read-stream blocks: every fill of a
-    // warmed run then displaces a victim, and roughly half the victims
-    // are dirty — the steady-state writeback behaviour of a long run.
-    const std::uint64_t l2_blocks = h.l2().config().sizeBytes / blk;
+    // Offer the rest of the L2 capacity one block at a time, alternating
+    // dirty write-stream blocks with clean read-stream blocks, so that
+    // roughly half the victims of a warmed run are dirty — the
+    // steady-state writeback behaviour of a long run. The L2 does not
+    // end full: read stream 0 starts at the hot set's base, so part of
+    // the filler re-touches hot blocks, and streams that alias in set
+    // index evict one another.
+    const std::uint64_t l2_blocks = k.l2.sizeBytes / blk;
     const std::uint64_t budget =
         l2_blocks > hot_blocks ? l2_blocks - hot_blocks : 0;
-    std::uint32_t ws = 0, rs = 0;
+    const std::size_t reads = k.readBases.size();
+    const std::size_t writes = k.writeBases.size();
+    std::size_t ws = 0, rs = 0;
     std::uint64_t woff = 0, roff = 0;
     for (std::uint64_t i = 0; i < budget; ++i) {
         if (i % 2 == 0) {
-            h.prefill(gen.writeStreamBase(ws) + woff, true);
-            ws = (ws + 1) % p.numWriteStreams;
+            h.prefill(k.writeBases[ws] + woff, true);
+            ws = (ws + 1) % writes;
             if (ws == 0)
                 woff += blk;
         } else {
-            h.prefill(gen.readStreamBase(rs) + roff, false);
-            rs = (rs + 1) % p.numStreams;
+            h.prefill(k.readBases[rs] + roff, false);
+            rs = (rs + 1) % reads;
             if (rs == 0)
                 roff += blk;
         }
     }
 }
+
+/**
+ * This thread's last warm image: the key and both levels as the
+ * prewarm left them (about 0.6 MB at the Table 3 geometry). Sweeps run
+ * the mechanisms of one workload back to back, so most points restore
+ * it instead of prewarming. Each sweep worker keeps its own.
+ */
+struct WarmImage
+{
+    bool valid = false;
+    WarmKey key;
+    std::optional<cpu::Cache> l1d;
+    std::optional<cpu::Cache> l2;
+};
+
+thread_local WarmImage t_warm;
 
 /**
  * Arms the host self-profiler for the guarded region. The enable flag
@@ -93,6 +113,42 @@ struct SelfProfGuard
 };
 
 } // namespace
+
+WarmKey
+warmKeyOf(const cpu::CacheHierarchy &h, const trace::SyntheticGenerator &gen,
+          std::uint64_t seed)
+{
+    const trace::WorkloadProfile &p = gen.profile();
+    WarmKey k;
+    k.l1d = h.l1d().config();
+    k.l2 = h.l2().config();
+    k.regionBase = p.regionBase;
+    k.hotBytes = p.hotBytes;
+    k.writeFraction = p.writeFraction;
+    for (std::uint32_t i = 0; i < p.numStreams; ++i)
+        k.readBases.push_back(gen.readStreamBase(i));
+    for (std::uint32_t i = 0; i < p.numWriteStreams; ++i)
+        k.writeBases.push_back(gen.writeStreamBase(i));
+    k.seed = seed;
+    return k;
+}
+
+void
+warmStart(cpu::CacheHierarchy &h, const WarmKey &key)
+{
+    if (t_warm.valid && t_warm.key == key) {
+        h.restoreWarm(*t_warm.l1d, *t_warm.l2);
+        return;
+    }
+    // Invalid until the copies are whole, so an unwind keeps no image;
+    // the copies reuse the old image's storage.
+    t_warm.valid = false;
+    prewarmCaches(h, key);
+    t_warm.key = key;
+    t_warm.l1d = h.l1d();
+    t_warm.l2 = h.l2();
+    t_warm.valid = true;
+}
 
 const char *
 deviceGenName(DeviceGen g)
@@ -253,9 +309,10 @@ simulate(const ExperimentConfig &cfg, const std::vector<std::size_t> &shifts)
     }
 
     System sys(sys_cfg, sources);
-    for (std::size_t i = 0; i < gens.size(); ++i)
-        prewarmCaches(sys.caches(std::uint32_t(i)), *gens[i],
-                      cfg.seed + shifts[i]);
+    for (std::size_t i = 0; i < gens.size(); ++i) {
+        cpu::CacheHierarchy &h = sys.caches(std::uint32_t(i));
+        warmStart(h, warmKeyOf(h, *gens[i], cfg.seed + shifts[i]));
+    }
     // Safety net: no run should need more than ~20k memory cycles per
     // thousand instructions per core; a hang here is a simulator bug.
     const Tick cap = instructions * 200 * sources.size() + 10'000'000;

@@ -216,6 +216,38 @@ std::uint64_t defaultInstructions();
 std::vector<std::string> mixWorkloads(const std::string &workload);
 
 /**
+ * Everything the warm start reads: the caches' geometry, the hot set,
+ * the stream bases and the seed. The warm start is a pure function of
+ * this key, so two runs with equal keys start from the same caches.
+ */
+struct WarmKey
+{
+    cpu::CacheConfig l1d;
+    cpu::CacheConfig l2;
+    Addr regionBase = 0;
+    std::uint64_t hotBytes = 0;
+    double writeFraction = 0.0;
+    std::vector<Addr> readBases;  //!< one per read stream
+    std::vector<Addr> writeBases; //!< one per write stream
+    std::uint64_t seed = 0;
+
+    bool operator==(const WarmKey &) const = default;
+};
+
+/** The warm-start key of a core with caches @p h running @p gen
+ *  whose prewarm is seeded by @p seed. */
+WarmKey warmKeyOf(const cpu::CacheHierarchy &h,
+                  const trace::SyntheticGenerator &gen, std::uint64_t seed);
+
+/**
+ * Start @p h, a hierarchy no access has touched yet, from the warmed
+ * steady state of @p key. The calling thread keeps the image of the
+ * last key it warmed: a run with the same key restores it, any other
+ * prewarms and replaces it. Either way @p h ends in the same state.
+ */
+void warmStart(cpu::CacheHierarchy &h, const WarmKey &key);
+
+/**
  * Run one experiment. With ExperimentConfig::fairness the shared run
  * is followed by one alone run per core (same mechanism, region and
  * seed, the core by itself on the machine).

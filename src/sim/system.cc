@@ -240,11 +240,12 @@ System::cpuWindow(CoreNode &node)
             node.doneAtCpu = cpuNow_ + c + 1;
             return;
         }
-        // Skip engine: once the core goes quiescent mid-window with no
-        // local wakeup before the window ends, the remaining CPU
-        // cycles are pure stalls (responses arrive only at tick
-        // boundaries) — apply them in bulk. The verdict also primes
-        // the quiescence cache for the next tick.
+        // Skip engine: once the core goes quiescent mid-window, the
+        // CPU cycles before its next local wakeup are pure stalls
+        // (responses arrive only at tick boundaries) — apply them in
+        // bulk. With no wakeup before the window ends, the verdict
+        // also primes the quiescence cache for the next tick;
+        // otherwise stepping resumes at the wakeup.
         if (ed && c + 1 < window &&
             node.core->quiescentAt(cpuNow_ + c + 1)) {
             const std::uint64_t ev =
@@ -254,6 +255,10 @@ System::cpuWindow(CoreNode &node)
                 node.quiesceValid = true;
                 node.quiesceEventCpu = ev;
                 return;
+            }
+            if (ev > cpuNow_ + c + 1) {
+                node.core->skipStallCycles(ev - (cpuNow_ + c + 1));
+                c = std::uint32_t(ev - cpuNow_) - 1;
             }
         }
     }

@@ -187,6 +187,14 @@ TEST(CampaignSupervisor, ValidationFailsBeforeAnyFork)
     EXPECT_SIM_ERROR(validateCampaign(points, opt),
                      ErrorCategory::Config, "heartbeat");
 
+    // With the heartbeat off, any point longer than the deadline would
+    // get its healthy worker killed as stale.
+    opt = baseOptions(freshDir("camp_validate"));
+    opt.heartbeatSec = 0.0;
+    opt.workerDeadlineSec = 1.0;
+    EXPECT_SIM_ERROR(validateCampaign(points, opt),
+                     ErrorCategory::Config, "heartbeat 0");
+
     // Unwritable campaign directory: a path under a regular file.
     const std::string file = testing::TempDir() + "/camp_not_a_dir";
     std::ofstream(file) << "x";

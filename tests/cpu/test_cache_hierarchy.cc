@@ -10,6 +10,8 @@
 
 #include "cpu/cache_hierarchy.hh"
 
+#include "sim_error_util.hh"
+
 using namespace bsim;
 using namespace bsim::cpu;
 
@@ -194,6 +196,32 @@ TEST(Hierarchy, PrefillL2OnlyByDefault)
     CacheHierarchy h(tinyConfig(), port);
     h.prefill(0x2000, false);
     EXPECT_EQ(h.access(0x2000, false).outcome, CacheOutcome::L2Hit);
+}
+
+TEST(Hierarchy, RestoreWarmCopiesBothLevels)
+{
+    FakePort port;
+    CacheHierarchy warm(tinyConfig(), port);
+    warm.prefill(0x2000, true, true);
+    warm.prefill(0x4000, false);
+    CacheHierarchy h(tinyConfig(), port);
+    h.restoreWarm(warm.l1d(), warm.l2());
+    EXPECT_EQ(h.l1d(), warm.l1d());
+    EXPECT_EQ(h.l2(), warm.l2());
+    EXPECT_EQ(h.access(0x2000, false).outcome, CacheOutcome::L1Hit);
+    EXPECT_EQ(h.access(0x4000, false).outcome, CacheOutcome::L2Hit);
+    EXPECT_TRUE(port.reads.empty());
+}
+
+TEST(Hierarchy, RestoreWarmRejectsOtherGeometry)
+{
+    FakePort port;
+    HierarchyConfig other = tinyConfig();
+    other.l2.assoc = 4;
+    CacheHierarchy warm(other, port);
+    CacheHierarchy h(tinyConfig(), port);
+    EXPECT_SIM_ERROR(h.restoreWarm(warm.l1d(), warm.l2()),
+                     ErrorCategory::Internal, "geometry");
 }
 
 TEST(Hierarchy, StatsCount)

@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <sstream>
+#include <utility>
 
 #include "sim/experiment.hh"
+#include "sim/report.hh"
+#include "trace/spec_profiles.hh"
 
 using namespace bsim;
 using namespace bsim::sim;
@@ -157,4 +161,101 @@ TEST(Experiment, ExtendedMechanismSweepIncludesHistory)
     EXPECT_EQ(std::size(ctrl::kAllMechanisms), 8u);
     EXPECT_EQ(std::size(ctrl::kExtendedMechanisms),
               9u + std::size(ctrl::kContentionMechanisms));
+}
+
+namespace
+{
+
+std::string
+resultJson(const RunResult &r)
+{
+    std::ostringstream os;
+    writeResultJson(os, r);
+    return os.str();
+}
+
+/** Ignores traffic: a warm start sends none. */
+struct NullPort : cpu::MemPort
+{
+    bool canSend(unsigned) const override { return true; }
+    void sendRead(Addr, bool) override {}
+    void sendWrite(Addr) override {}
+};
+
+} // namespace
+
+TEST(Experiment, WarmReuseMatchesColdStart)
+{
+    // A point run right after another mechanism with the same warm key
+    // restores the stored image; run after an unrelated key it
+    // prewarms. Both must give the same result, and a run whose key
+    // differs from the stored one only in the seed must prewarm.
+    std::vector<std::string> workloads = trace::specProfileNames();
+    workloads.push_back("pchase");
+    const std::uint64_t seeds[] = {1, 2};
+    const auto run = [](const std::string &w, std::uint64_t seed,
+                        ctrl::Mechanism m, std::uint64_t instructions) {
+        ExperimentConfig cfg;
+        cfg.workload = w;
+        cfg.seed = seed;
+        cfg.mechanism = m;
+        cfg.instructions = instructions;
+        return resultJson(runExperiment(cfg));
+    };
+    const ctrl::Mechanism before = ctrl::Mechanism::BkInOrder;
+    const ctrl::Mechanism point = ctrl::Mechanism::BurstTH;
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+        const std::string &w = workloads[i];
+        const std::string &other = workloads[(i + 1) % workloads.size()];
+        std::string cold[2];
+        for (int s = 0; s < 2; ++s) {
+            run(other, seeds[s], before, 1);
+            cold[s] = run(w, seeds[s], point, 2000);
+        }
+        run(w, seeds[0], before, 1);
+        EXPECT_EQ(run(w, seeds[0], point, 2000), cold[0]) << w;
+        EXPECT_EQ(run(w, seeds[1], point, 2000), cold[1]) << w;
+        EXPECT_EQ(run(w, seeds[1], point, 2000), cold[1]) << w;
+    }
+
+    // The image itself: a key that differs from the stored one in any
+    // single field the prewarm reads must not reuse it.
+    NullPort port;
+    const cpu::HierarchyConfig hc;
+    const trace::SyntheticGenerator gen(trace::profileByName("swim"), 1, 1);
+    cpu::CacheHierarchy probe(hc, port);
+    const WarmKey base = warmKeyOf(probe, gen, 1);
+    const WarmKey unrelated = [&] {
+        WarmKey k = base;
+        k.regionBase += 1ULL << 30;
+        return k;
+    }();
+    // The caches warmStart() gives for @p k right after a cold warm
+    // start of @p prior.
+    const auto warmed = [&](const WarmKey &prior, const WarmKey &k) {
+        for (const WarmKey *w : {&unrelated, &prior}) {
+            cpu::CacheHierarchy first(hc, port);
+            warmStart(first, *w);
+        }
+        cpu::CacheHierarchy h(hc, port);
+        warmStart(h, k);
+        return std::make_pair(h.l1d(), h.l2());
+    };
+    EXPECT_EQ(warmed(base, base), warmed(unrelated, base));
+    std::vector<std::pair<const char *, WarmKey>> variants;
+    const auto vary = [&](const char *field, auto change) {
+        WarmKey k = base;
+        change(k);
+        variants.emplace_back(field, k);
+    };
+    vary("seed", [](WarmKey &k) { k.seed += 1; });
+    vary("writeFraction", [](WarmKey &k) { k.writeFraction = 0.9; });
+    vary("regionBase", [](WarmKey &k) { k.regionBase += 64; });
+    vary("hotBytes", [](WarmKey &k) { k.hotBytes /= 2; });
+    vary("readBases", [](WarmKey &k) { k.readBases[0] += 64; });
+    vary("writeBases", [](WarmKey &k) { k.writeBases[0] += 64; });
+    for (const auto &[field, k] : variants) {
+        EXPECT_NE(warmed(unrelated, k), warmed(unrelated, base)) << field;
+        EXPECT_EQ(warmed(base, k), warmed(unrelated, k)) << field;
+    }
 }

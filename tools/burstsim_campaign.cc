@@ -270,7 +270,8 @@ runCampaignCli(int argc, char **argv)
     args.addOption("retries", "2",
                    "extra in-worker attempts for transient failures");
     args.addOption("heartbeat-sec", "0.25",
-                   "worker progress heartbeat period");
+                   "worker progress heartbeat period (0 = off; needs "
+                   "--worker-deadline-sec 0)");
     args.addOption("worker-deadline-sec", "10",
                    "kill a worker whose progress file stalls this long "
                    "(0 = never)");
